@@ -1160,42 +1160,47 @@ fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         msamples / multi_fixed_s.max(1e-9)
     );
 
-    // Row-streaming encode: push rows through the fused cascade straight
-    // into the Rice coders; bytes must equal the sequential codec's and the
-    // coefficient working set must stay a sliver of the frame.
-    let line = LineCompressor::new(scales)?;
-    let mut encoder = line.begin(size, size, 12)?;
+    // Row-streaming encode — the codec's only encode path: push rows
+    // through the fused cascade straight into the Rice coders. The bytes
+    // must equal the materialized path's (multi-pass transform, per-subband
+    // copy, one-shot Rice coder) and the coefficient working set must stay a
+    // sliver of the frame.
+    let codec = LosslessCodec::new(scales)?;
+    let mut encoder = codec.begin(size, size, 12)?;
     let mut peak = 0usize;
+    let start = std::time::Instant::now();
     for y in 0..size {
         encoder.push_row(frame.view().row(y));
         peak = peak.max(encoder.working_set_samples());
     }
     let bytes = encoder.finish();
-    assert_eq!(
-        bytes,
-        LosslessCodec::new(scales)?.compress(&frame)?,
-        "streamed bytes must be identical to the sequential codec"
-    );
+    let streamed_s = start.elapsed().as_secs_f64();
+    let start = std::time::Instant::now();
+    let mut writer = lwc_core::lwc_coder::bitio::BitWriter::new();
+    codec.header_for(&frame)?.write(&mut writer);
+    for (scale, band) in lwc_core::lwc_coder::subband_order(scales) {
+        codec.subband_codec().encode_subband(&mut writer, &multi.subband(scale, band));
+    }
+    let materialized = writer.into_bytes();
+    let materialized_s = start.elapsed().as_secs_f64() + multi_s;
+    assert_eq!(bytes, materialized, "streamed bytes must equal the materialized encode");
     assert!(
         peak * 8 < size * size,
         "peak coefficient working set {peak} must stay far below the {} frame samples",
         size * size
     );
     println!(
-        "streaming encode:   peak working set {peak} samples ({:.2}% of the frame), \
-         bytes identical to the sequential codec",
+        "streaming encode:   {:>8.1} Msamples/s (materialized {:>8.1}), peak working set \
+         {peak} samples ({:.2}% of the frame), bytes identical",
+        msamples / streamed_s.max(1e-9),
+        msamples / materialized_s.max(1e-9),
         100.0 * peak as f64 / (size * size) as f64
     );
 
-    // The pull-style partner: a line-transform tiled container streams back
-    // out through bounded row bands — bounded-memory encode AND decode.
-    let tiled = TiledCompressor::new(scales, DEFAULT_TILE_SIZE, 0)?.with_line_transform();
+    // The pull-style partner: a tiled container streams back out through
+    // bounded row bands — bounded-memory encode AND decode.
+    let tiled = TiledCompressor::new(scales, DEFAULT_TILE_SIZE, 0)?;
     let container = tiled.compress(&frame)?;
-    assert_eq!(
-        container,
-        TiledCompressor::new(scales, DEFAULT_TILE_SIZE, 0)?.compress(&frame)?,
-        "the line transform must not change the container bytes"
-    );
     let mut next_y = 0usize;
     for band in tiled.decompress_row_bands(&container)? {
         let band = band?;
@@ -1205,7 +1210,7 @@ fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         next_y += band.image.height();
     }
     assert_eq!(next_y, size);
-    println!("row-band decode:    container from the line transform streams back bit exact");
+    println!("row-band decode:    tiled container streams back bit exact");
     Ok(())
 }
 
@@ -1362,26 +1367,23 @@ fn conclusions(size: usize) -> Result<(), Box<dyn std::error::Error>> {
         subband_codec.workers()
     );
 
-    // Line-based fused engine — the paper's line-buffer datapath (Table IV
-    // input buffers) taken literally in software: the whole multi-scale
-    // transform runs in one streaming pass with an O(width x levels)
-    // coefficient working set, instead of one frame-sized pass per scale,
-    // and the stream stays byte-identical.
-    let line_engine = parallel.line_based();
-    let start = std::time::Instant::now();
-    let line_stream = line_engine.compress(single)?;
-    let line_single = start.elapsed();
-    assert_eq!(seq_stream, line_stream, "line-based stream must be byte-identical");
-    let mut probe = line_engine.begin(size, size, single.bit_depth())?;
+    // Row-streaming encode — the paper's line-buffer datapath (Table IV
+    // input buffers) taken literally in software, and the path every engine
+    // above already runs: the whole multi-scale transform in one streaming
+    // pass with an O(width x levels) coefficient working set.
+    let mut probe = parallel.codec().begin(size, size, single.bit_depth())?;
     let single_view = single.view();
     let mut line_peak = 0usize;
+    let start = std::time::Instant::now();
     for y in 0..size {
         probe.push_row(single_view.row(y));
         line_peak = line_peak.max(probe.working_set_samples());
     }
-    let _ = probe.finish();
+    let line_stream = probe.finish();
+    let line_single = start.elapsed();
+    assert_eq!(seq_stream, line_stream, "row-pushed stream must be byte-identical");
     println!(
-        "  line-based fused ({size}x{size}): {:.1} ms ({:.1} Msamples/s, peak \
+        "  row-streaming encode ({size}x{size}): {:.1} ms ({:.1} Msamples/s, peak \
          coefficient working set {:.1}% of the frame, stream byte-identical) — the \
          software analogue of the paper's line-buffer datapath",
         line_single.as_secs_f64() * 1e3,

@@ -1,12 +1,12 @@
 //! End-to-end lossless image codec: reversible 5/3 transform + Rice-coded
-//! subbands, with an opt-in near-lossless quantization mode.
+//! subbands, with a near-lossless quantization mode.
 
 use crate::bitio::{BitReader, BitWriter};
-use crate::quant::{self, QuantSchedule};
-use crate::{CoderError, SubbandCodec};
+use crate::quant::QuantSchedule;
+use crate::{CoderError, RowEncoder, SubbandCodec};
 use lwc_image::{Image, ImageView};
 use lwc_lifting::geometry::{band_len, band_rect};
-use lwc_lifting::Lifting53;
+use lwc_lifting::{Lifting53, LineDwt53};
 use std::fmt;
 
 /// Magic number identifying a lossless `lwc` compressed stream ("LWC1").
@@ -276,8 +276,10 @@ impl LosslessCodec {
         QuantSchedule::for_delta(self.delta, self.scales())
     }
 
-    /// The reversible transform the codec runs (shared with the per-subband
-    /// parallel codec in `lwc-pipeline`).
+    /// The reversible transform at the codec's depth. Decoding runs its
+    /// inverse; encoding streams through the bit-identical line cascade
+    /// ([`LosslessCodec::begin`]), so [`Lifting53::forward`] here is the
+    /// reference the encoder is checked against.
     #[must_use]
     pub fn transform(&self) -> &Lifting53 {
         &self.transform
@@ -444,7 +446,7 @@ impl LosslessCodec {
             self.scales(),
             header.bit_depth,
         )?;
-        Ok(self.transform.inverse_raw(&coeffs)?)
+        Ok(self.transform.inverse_raw(coeffs)?)
     }
 
     /// Compresses `image` into a self-contained byte stream.
@@ -462,21 +464,40 @@ impl LosslessCodec {
     /// straight out of the frame without copying them into owned images. For
     /// a full-frame view this is exactly [`LosslessCodec::compress`].
     ///
+    /// The rows stream through [`LosslessCodec::begin`]: one pass of the
+    /// line cascade, no frame-sized coefficient buffer.
+    ///
     /// # Errors
     ///
     /// See [`LosslessCodec::compress`].
     pub fn compress_view(&self, view: &ImageView<'_>) -> Result<Vec<u8>, CoderError> {
-        let header = self.header_for_view(view)?;
-        let coeffs = self.transform.forward_view(view)?;
-        let schedule = self.schedule();
-        let mut writer = BitWriter::new();
-        header.write(&mut writer);
-        for (scale, band) in subband_order(self.scales()) {
-            let mut samples = coeffs.subband(scale, band);
-            quant::quantize(&mut samples, schedule.allowance(scale, band));
-            self.subbands.encode_subband(&mut writer, &samples);
+        let mut encoder = self.begin(view.width(), view.height(), view.bit_depth())?;
+        for y in 0..view.height() {
+            encoder.push_row(view.row(y));
         }
-        Ok(writer.into_bytes())
+        Ok(encoder.finish())
+    }
+
+    /// Starts a streaming encode of a `width x height` frame whose rows will
+    /// be pushed top to bottom ([`RowEncoder::push_row`]). The frame never
+    /// has to exist in memory: the coefficient working set is the line
+    /// cascade's `O(width x levels)` rings plus one partial Rice block per
+    /// subband. The finished stream is byte-identical to
+    /// [`LosslessCodec::compress`] of the same frame, at every `δ`.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the shape does not fit the header fields (see
+    /// [`LosslessCodec::header_for_dims`]) or a dimension is zero.
+    pub fn begin(
+        &self,
+        width: usize,
+        height: usize,
+        bit_depth: u32,
+    ) -> Result<RowEncoder, CoderError> {
+        let header = self.header_for_dims(width, height, bit_depth)?;
+        let dwt = LineDwt53::new(width, height, self.scales())?;
+        Ok(RowEncoder::new(header, dwt))
     }
 
     /// Reconstructs the image from a stream produced by

@@ -12,6 +12,18 @@
 //! * the transform behind the end-to-end compression examples, because its
 //!   integer subbands feed an entropy coder directly.
 //!
+//! Three drivers share the 1-D kernels, and all of them produce the same
+//! bits:
+//!
+//! * [`LineDwt53`] — the line cascade, the codec's forward transform: rows
+//!   stream in once and subband rows stream out, with an
+//!   `O(width x levels)` working set;
+//! * [`Lifting53::forward`] — the multi-pass, column-gather forward
+//!   transform, kept as the reference the cascade is diffed against;
+//! * [`Lifting53::inverse_raw`] and [`zaxis`] — the inverse and the z
+//!   passes, which lift whole contiguous rows or planes at a time instead
+//!   of gathering columns.
+//!
 //! The 2-D transform uses the same Mallat layout and symmetric (mirror)
 //! boundary extension as JPEG 2000, and — like JPEG 2000 — supports images
 //! of **any** dimensions: every pass halves the active region rounding up
@@ -40,11 +52,14 @@ mod error;
 pub mod geometry;
 mod lifting1d;
 mod line;
+mod rows;
 mod transform;
 pub mod zaxis;
 
 pub use error::LiftingError;
-pub use lifting1d::{approx_len, detail_len, forward_53, forward_53_into, inverse_53};
+pub use lifting1d::{
+    approx_len, detail_len, forward_53, forward_53_into, inverse_53, inverse_53_into,
+};
 pub use line::{CoeffRow, LineDwt53};
 pub use transform::{Lifting53, LiftingCoefficients};
 pub use zaxis::{forward_z, inverse_z};

@@ -109,6 +109,25 @@ pub fn forward_53_into(x: &[i32], approx: &mut [i32], detail: &mut [i32]) {
 /// approximation must hold the detail's length or one more).
 #[must_use]
 pub fn inverse_53(approx: &[i32], detail: &[i32]) -> Vec<i32> {
+    let mut out = vec![0i32; approx.len() + detail.len()];
+    inverse_53_into(approx, detail, &mut out);
+    out
+}
+
+/// Allocation-free form of [`inverse_53`]: writes the interleaved signal
+/// into `out`, which must not alias the halves. This is the horizontal
+/// kernel of the 2-D inverse ([`crate::Lifting53::inverse_raw`]), which
+/// reuses one row of scratch instead of allocating per row.
+///
+/// Each even sample is undone once, carried in a 64-bit register to the odd
+/// sample that needs it next, so the arithmetic is exactly that of the
+/// one-shot formula at any word length.
+///
+/// # Panics
+///
+/// Panics if `approx` is empty, the halves are not a valid split, or
+/// `out.len()` differs from `approx.len() + detail.len()`.
+pub fn inverse_53_into(approx: &[i32], detail: &[i32], out: &mut [i32]) {
     let half_a = approx.len();
     let half_d = detail.len();
     assert!(half_a >= 1, "subbands must not be empty");
@@ -116,42 +135,39 @@ pub fn inverse_53(approx: &[i32], detail: &[i32]) -> Vec<i32> {
         half_a == half_d || half_a == half_d + 1,
         "subband lengths must match: {half_a} approximation vs {half_d} detail samples"
     );
+    assert_eq!(out.len(), half_a + half_d, "output length must be the sum of the halves");
     if half_d == 0 {
-        return vec![approx[0]];
+        out[0] = approx[0];
+        return;
     }
-    let n = half_a + half_d;
 
-    // Undo the update step to recover the even samples. Same split as the
-    // forward update: one mirrored tap at each end, plain shifts between.
+    // Undo the update step for even sample `j`; only the first and (for odd
+    // lengths) the last even sample mirror a detail tap.
     let d = |k: i64| -> i64 { detail[mirror(k, half_d as i64) as usize] as i64 };
-    let mut even = Vec::with_capacity(half_a);
-    even.push(approx[0] as i64 - ((d(-1) + d(0) + 2) >> 2));
-    for (k, w) in detail.windows(2).enumerate() {
-        let update = (w[0] as i64 + w[1] as i64 + 2) >> 2;
-        even.push(approx[k + 1] as i64 - update);
-    }
-    if half_a > half_d {
-        let k = half_a as i64 - 1;
-        even.push(approx[half_a - 1] as i64 - ((d(k - 1) + d(k) + 2) >> 2));
-    }
+    let even = |j: usize| -> i64 { approx[j] as i64 - ((d(j as i64 - 1) + d(j as i64) + 2) >> 2) };
 
-    // Undo the predict step, interleaving. The interior pairs every detail
-    // sample with its two natural even neighbours; only an even-length
-    // signal's last detail needs the mirrored right neighbour.
-    let mut out = Vec::with_capacity(n);
-    for (w, &dk) in even.windows(2).zip(detail) {
-        out.push(w[0] as i32);
-        out.push((dk as i64 + ((w[0] + w[1]) >> 1)) as i32);
+    // Undo the predict step, interleaving. Interior: every detail sample has
+    // both natural even neighbours, and the right one is undone here and
+    // carried into the next pair.
+    let mut current = even(0);
+    for k in 0..half_d - 1 {
+        let next = approx[k + 1] as i64 - ((detail[k] as i64 + detail[k + 1] as i64 + 2) >> 2);
+        out[2 * k] = current as i32;
+        out[2 * k + 1] = (detail[k] as i64 + ((current + next) >> 1)) as i32;
+        current = next;
     }
-    if n % 2 == 0 {
-        let k = half_d - 1;
-        let m = mirror(k as i64 + 1, half_a as i64) as usize;
-        out.push(even[k] as i32);
-        out.push((detail[k] as i64 + ((even[k] + even[m]) >> 1)) as i32);
-    } else {
-        out.push(even[half_a - 1] as i32);
+    // The last detail sample: its right neighbour is the odd-length tail's
+    // last even sample, or, for even lengths, mirrored in even-subsequence
+    // index space.
+    let k = half_d - 1;
+    let right =
+        if half_a > half_d { half_a - 1 } else { mirror(k as i64 + 1, half_a as i64) as usize };
+    let right_even = if right == k { current } else { even(right) };
+    out[2 * k] = current as i32;
+    out[2 * k + 1] = (detail[k] as i64 + ((current + right_even) >> 1)) as i32;
+    if half_a > half_d {
+        out[2 * k + 2] = right_even as i32;
     }
-    out
 }
 
 /// Symmetric (whole-sample mirror) index extension into `0..n`.
@@ -231,6 +247,43 @@ mod tests {
         out
     }
 
+    /// The previous two-pass inverse (all even samples into a vector, then
+    /// the interleave), kept as the reference for [`inverse_53_into`] on
+    /// every length.
+    fn reference_inverse_53(approx: &[i32], detail: &[i32]) -> Vec<i32> {
+        let half_a = approx.len();
+        let half_d = detail.len();
+        if half_d == 0 {
+            return vec![approx[0]];
+        }
+        let n = half_a + half_d;
+        let d = |k: i64| -> i64 { detail[mirror(k, half_d as i64) as usize] as i64 };
+        let mut even = Vec::with_capacity(half_a);
+        even.push(approx[0] as i64 - ((d(-1) + d(0) + 2) >> 2));
+        for (k, w) in detail.windows(2).enumerate() {
+            let update = (w[0] as i64 + w[1] as i64 + 2) >> 2;
+            even.push(approx[k + 1] as i64 - update);
+        }
+        if half_a > half_d {
+            let k = half_a as i64 - 1;
+            even.push(approx[half_a - 1] as i64 - ((d(k - 1) + d(k) + 2) >> 2));
+        }
+        let mut out = Vec::with_capacity(n);
+        for (w, &dk) in even.windows(2).zip(detail) {
+            out.push(w[0] as i32);
+            out.push((dk as i64 + ((w[0] + w[1]) >> 1)) as i32);
+        }
+        if n % 2 == 0 {
+            let k = half_d - 1;
+            let m = mirror(k as i64 + 1, half_a as i64) as usize;
+            out.push(even[k] as i32);
+            out.push((detail[k] as i64 + ((even[k] + even[m]) >> 1)) as i32);
+        } else {
+            out.push(even[half_a - 1] as i32);
+        }
+        out
+    }
+
     #[test]
     fn mirror_extension_reflects_indices() {
         assert_eq!(mirror(0, 4), 0);
@@ -269,6 +322,24 @@ mod tests {
                 assert_eq!(d.len(), detail_len(n));
                 let y = inverse_53(&a, &d);
                 assert_eq!(x, y, "n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_into_matches_the_two_pass_reference_at_any_length() {
+        // Full-range halves included: the carried 64-bit even samples must
+        // reproduce the reference even where an even sample leaves i32.
+        let mut rng = StdRng::seed_from_u64(23);
+        for n in 1usize..=40 {
+            for range in [4096, i32::MAX] {
+                let approx: Vec<i32> =
+                    (0..approx_len(n)).map(|_| rng.gen_range(-range..range)).collect();
+                let detail: Vec<i32> =
+                    (0..detail_len(n)).map(|_| rng.gen_range(-range..range)).collect();
+                let mut out = vec![0i32; n];
+                inverse_53_into(&approx, &detail, &mut out);
+                assert_eq!(out, reference_inverse_53(&approx, &detail), "n={n}");
             }
         }
     }

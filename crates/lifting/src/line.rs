@@ -340,10 +340,18 @@ impl LineDwt53 {
     /// # Errors
     ///
     /// Returns [`LiftingError::NoScales`] for zero scales and
-    /// [`LiftingError::ConfigurationMismatch`] for zero dimensions.
+    /// [`LiftingError::ConfigurationMismatch`] for zero dimensions or more
+    /// than `usize::BITS` scales (past that many halvings every dimension
+    /// has saturated at one sample, and each level costs a ring of buffers).
     pub fn new(width: usize, height: usize, scales: u32) -> Result<Self, LiftingError> {
         if scales == 0 {
             return Err(LiftingError::NoScales);
+        }
+        if scales > usize::BITS {
+            return Err(LiftingError::ConfigurationMismatch(format!(
+                "{scales} scales exceed the {} levels any dimension can halve through",
+                usize::BITS
+            )));
         }
         if width == 0 || height == 0 {
             return Err(LiftingError::ConfigurationMismatch(format!(
@@ -557,6 +565,13 @@ mod tests {
     fn misuse_panics() {
         assert!(LineDwt53::new(0, 4, 1).is_err());
         assert!(LineDwt53::new(4, 4, 0).is_err());
+        // Regression: one level was allocated per requested scale before any
+        // check, so this aborted the process on a ~750 GB allocation.
+        assert!(matches!(
+            LineDwt53::new(8, 8, u32::MAX),
+            Err(LiftingError::ConfigurationMismatch(_))
+        ));
+        assert!(LineDwt53::new(8, 8, usize::BITS).is_ok());
         let mut engine = LineDwt53::new(4, 2, 1).unwrap();
         let mut sink = |_c: CoeffRow<'_>| {};
         engine.push_row(&[0; 4], &mut sink);

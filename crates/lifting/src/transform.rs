@@ -1,7 +1,8 @@
 //! Two-dimensional reversible 5/3 transform in the Mallat layout.
 
 use crate::geometry::{band_rect, scaled_dim};
-use crate::lifting1d::{forward_53, inverse_53};
+use crate::lifting1d::{approx_len, forward_53, inverse_53_into};
+use crate::rows::inverse_lines;
 use crate::LiftingError;
 use lwc_image::{Image, ImageView, ImageViewMut};
 
@@ -197,22 +198,30 @@ impl Lifting53 {
     /// samples fall outside the original bit depth (impossible for
     /// coefficients produced by [`Lifting53::forward`]).
     pub fn inverse(&self, coeffs: &LiftingCoefficients) -> Result<Image, LiftingError> {
-        let data = self.inverse_raw(coeffs)?;
+        let data = self.inverse_raw(coeffs.clone())?;
         Ok(Image::from_samples(coeffs.width, coeffs.height, coeffs.input_bit_depth, data)?)
     }
 
     /// Inverse transform returning the raw row-major sample buffer *without*
-    /// the bit-depth range validation of [`Lifting53::inverse`]. The 3-D
-    /// codec decodes each z-coefficient plane through this path — those
-    /// planes hold signed z-transform coefficients, not pixels, and only
-    /// after the inverse z pass do the values return to the pixel range
-    /// (where the volume container validates them).
+    /// the bit-depth range validation of [`Lifting53::inverse`]. The
+    /// coefficients are taken by value and reconstructed in their own
+    /// buffer, so decoders that assemble a coefficient frame hand it over
+    /// without a copy. The 3-D codec decodes each z-coefficient plane
+    /// through this path — those planes hold signed z-transform
+    /// coefficients, not pixels, and only after the inverse z pass do the
+    /// values return to the pixel range (where the volume container
+    /// validates them).
+    ///
+    /// Each scale runs the vertical pass as row-vector lifting over whole
+    /// rows, and each row's horizontal pass as soon as that row is final.
+    /// The only scratch is a copy of the scale's vertical detail rows (at
+    /// most half the active region) plus one row.
     ///
     /// # Errors
     ///
     /// Returns [`LiftingError::ConfigurationMismatch`] if the coefficients
     /// carry a different decomposition depth.
-    pub fn inverse_raw(&self, coeffs: &LiftingCoefficients) -> Result<Vec<i32>, LiftingError> {
+    pub fn inverse_raw(&self, coeffs: LiftingCoefficients) -> Result<Vec<i32>, LiftingError> {
         if coeffs.scales != self.scales {
             return Err(LiftingError::ConfigurationMismatch(format!(
                 "coefficients have {} scales but the transform expects {}",
@@ -221,11 +230,25 @@ impl Lifting53 {
         }
         let width = coeffs.width;
         let height = coeffs.height;
-        let mut data = coeffs.data.clone();
-        for s in (1..=self.scales).rev() {
+        let mut data = coeffs.data;
+        // Scales past the point where both dimensions saturate at one
+        // sample are no-ops; start at the deepest one that does work.
+        let active = (0..self.scales)
+            .take_while(|&s| scaled_dim(width, s) >= 2 || scaled_dim(height, s) >= 2)
+            .count() as u32;
+        let mut detail_rows = Vec::new();
+        let mut row = Vec::new();
+        for s in (1..=active).rev() {
             let cur_w = scaled_dim(width, s - 1);
             let cur_h = scaled_dim(height, s - 1);
-            inverse_scale(&mut data, width, cur_w, cur_h);
+            let a_w = approx_len(cur_w);
+            row.resize(cur_w, 0);
+            inverse_lines(&mut data, width, cur_w, cur_h, &mut detail_rows, |line| {
+                if cur_w >= 2 {
+                    row.copy_from_slice(line);
+                    inverse_53_into(&row[..a_w], &row[a_w..], line);
+                }
+            });
         }
         Ok(data)
     }
@@ -310,42 +333,105 @@ fn forward_scale(data: &mut [i32], stride: usize, cur_w: usize, cur_h: usize) {
     }
 }
 
-fn inverse_scale(data: &mut [i32], stride: usize, cur_w: usize, cur_h: usize) {
-    if cur_h >= 2 {
-        let a_h = cur_h.div_ceil(2);
-        let mut approx = vec![0i32; a_h];
-        let mut detail = vec![0i32; cur_h - a_h];
-        for x in 0..cur_w {
-            for (y, slot) in approx.iter_mut().enumerate() {
-                *slot = data[y * stride + x];
-            }
-            for (y, slot) in detail.iter_mut().enumerate() {
-                *slot = data[(y + a_h) * stride + x];
-            }
-            let col = inverse_53(&approx, &detail);
-            for (y, &v) in col.iter().enumerate() {
-                data[y * stride + x] = v;
-            }
-        }
-    }
-    if cur_w >= 2 {
-        let a_w = cur_w.div_ceil(2);
-        let mut approx = vec![0i32; a_w];
-        let mut detail = vec![0i32; cur_w - a_w];
-        for y in 0..cur_h {
-            let base = y * stride;
-            approx.copy_from_slice(&data[base..base + a_w]);
-            detail.copy_from_slice(&data[base + a_w..base + cur_w]);
-            let row = inverse_53(&approx, &detail);
-            data[base..base + cur_w].copy_from_slice(&row);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lifting1d::inverse_53;
     use lwc_image::{stats, synth, TileRect};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The previous multi-pass inverse: per scale, a column-gather vertical
+    /// pass (two vectors per column) and then a row pass. Kept as the
+    /// reference for the row-vector inverse.
+    fn reference_inverse(coeffs: &LiftingCoefficients) -> Vec<i32> {
+        let mut data = coeffs.data.clone();
+        for s in (1..=coeffs.scales).rev() {
+            let cur_w = scaled_dim(coeffs.width, s - 1);
+            let cur_h = scaled_dim(coeffs.height, s - 1);
+            reference_inverse_scale(&mut data, coeffs.width, cur_w, cur_h);
+        }
+        data
+    }
+
+    fn reference_inverse_scale(data: &mut [i32], stride: usize, cur_w: usize, cur_h: usize) {
+        if cur_h >= 2 {
+            let a_h = cur_h.div_ceil(2);
+            let mut approx = vec![0i32; a_h];
+            let mut detail = vec![0i32; cur_h - a_h];
+            for x in 0..cur_w {
+                for (y, slot) in approx.iter_mut().enumerate() {
+                    *slot = data[y * stride + x];
+                }
+                for (y, slot) in detail.iter_mut().enumerate() {
+                    *slot = data[(y + a_h) * stride + x];
+                }
+                let col = inverse_53(&approx, &detail);
+                for (y, &v) in col.iter().enumerate() {
+                    data[y * stride + x] = v;
+                }
+            }
+        }
+        if cur_w >= 2 {
+            let a_w = cur_w.div_ceil(2);
+            let mut approx = vec![0i32; a_w];
+            let mut detail = vec![0i32; cur_w - a_w];
+            for y in 0..cur_h {
+                let base = y * stride;
+                approx.copy_from_slice(&data[base..base + a_w]);
+                detail.copy_from_slice(&data[base + a_w..base + cur_w]);
+                let row = inverse_53(&approx, &detail);
+                data[base..base + cur_w].copy_from_slice(&row);
+            }
+        }
+    }
+
+    #[test]
+    fn row_vector_inverse_matches_the_column_reference() {
+        // Arbitrary coefficient frames, not only forward outputs: the
+        // reconstruction must agree sample for sample on every layout.
+        let mut rng = StdRng::seed_from_u64(31);
+        let shapes = [
+            (1usize, 1usize),
+            (1, 2),
+            (1, 17),
+            (2, 1),
+            (17, 1),
+            (2, 2),
+            (3, 5),
+            (7, 11),
+            (13, 4),
+            (37, 53),
+            (64, 37),
+            (101, 63),
+        ];
+        for (w, h) in shapes {
+            for scales in 1u32..=6 {
+                for range in [4096, 1 << 30] {
+                    let data: Vec<i32> = (0..w * h).map(|_| rng.gen_range(-range..range)).collect();
+                    let coeffs = LiftingCoefficients::from_raw(data, w, h, scales, 12).unwrap();
+                    let expected = reference_inverse(&coeffs);
+                    let lifting = Lifting53::new(scales).unwrap();
+                    assert_eq!(
+                        lifting.inverse_raw(coeffs).unwrap(),
+                        expected,
+                        "{w}x{h} at {scales} scales"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn saturated_scales_are_skipped() {
+        // Depths far past the point where both sides reach one sample
+        // reconstruct like the shallowest depth that saturates them.
+        let image = synth::random_image(9, 6, 12, 3);
+        let deep = Lifting53::new(1000).unwrap();
+        let coeffs = deep.forward(&image).unwrap();
+        assert_eq!(coeffs.data(), Lifting53::new(4).unwrap().forward(&image).unwrap().data());
+        assert_eq!(deep.inverse(&coeffs).unwrap(), image);
+    }
 
     #[test]
     fn roundtrip_is_exact_on_all_workloads() {

@@ -3,11 +3,11 @@
 //! The 3-D DWT of the volumetric datapath is **separable**: the 1-D kernels
 //! of [`crate::forward_53`] run along z across slices, and each resulting
 //! coefficient plane then goes through the ordinary 2-D transform. This
-//! module supplies the z leg as a *slice-interleaved* pass over a
-//! plane-major buffer (slice `z` occupies `plane_len` consecutive samples):
-//! for every in-plane position, the column of samples across slices is
-//! gathered, lifted and scattered back with the approximation planes in
-//! front of the detail planes — the Mallat layout along z.
+//! module supplies the z leg over a plane-major buffer (slice `z` occupies
+//! `plane_len` consecutive samples). Each lifting step runs over whole
+//! planes at a time (the row-vector kernels of the 2-D inverse), never over
+//! gathered columns, and leaves the approximation planes in front of the
+//! detail planes — the Mallat layout along z.
 //!
 //! The ragged pyramid of [`crate::geometry`] applies unchanged: level `s`
 //! operates on the first `scaled_dim(depth, s)` planes, halving rounding up,
@@ -16,7 +16,7 @@
 //! codec bit-identical per slice to the 2-D path in that configuration.
 
 use crate::geometry::scaled_dim;
-use crate::lifting1d::{approx_len, forward_53_into, inverse_53};
+use crate::rows::{forward_lines, inverse_lines};
 use crate::LiftingError;
 
 fn check_volume(samples: &[i32], plane_len: usize, depth: usize) -> Result<(), LiftingError> {
@@ -49,27 +49,9 @@ pub fn forward_z(
     z_scales: u32,
 ) -> Result<(), LiftingError> {
     check_volume(samples, plane_len, depth)?;
-    let mut column = vec![0i32; depth];
-    let mut approx = vec![0i32; depth.div_ceil(2)];
-    let mut detail = vec![0i32; depth / 2];
-    for s in 0..z_scales {
-        let n = scaled_dim(depth, s);
-        if n < 2 {
-            break;
-        }
-        let a_len = approx_len(n);
-        for i in 0..plane_len {
-            for (z, slot) in column[..n].iter_mut().enumerate() {
-                *slot = samples[z * plane_len + i];
-            }
-            forward_53_into(&column[..n], &mut approx[..a_len], &mut detail[..n - a_len]);
-            for (z, &v) in approx[..a_len].iter().enumerate() {
-                samples[z * plane_len + i] = v;
-            }
-            for (z, &v) in detail[..n - a_len].iter().enumerate() {
-                samples[(a_len + z) * plane_len + i] = v;
-            }
-        }
+    let mut scratch = Vec::new();
+    for s in 0..z_levels(depth, z_scales) {
+        forward_lines(samples, plane_len, plane_len, scaled_dim(depth, s), &mut scratch);
     }
     Ok(())
 }
@@ -89,36 +71,119 @@ pub fn inverse_z(
     z_scales: u32,
 ) -> Result<(), LiftingError> {
     check_volume(samples, plane_len, depth)?;
-    let mut approx = vec![0i32; depth.div_ceil(2)];
-    let mut detail = vec![0i32; depth / 2];
-    for s in (0..z_scales).rev() {
-        let n = scaled_dim(depth, s);
-        if n < 2 {
-            continue;
-        }
-        let a_len = approx_len(n);
-        for i in 0..plane_len {
-            for (z, slot) in approx[..a_len].iter_mut().enumerate() {
-                *slot = samples[z * plane_len + i];
-            }
-            for (z, slot) in detail[..n - a_len].iter_mut().enumerate() {
-                *slot = samples[(a_len + z) * plane_len + i];
-            }
-            let column = inverse_53(&approx[..a_len], &detail[..n - a_len]);
-            for (z, &v) in column.iter().enumerate() {
-                samples[z * plane_len + i] = v;
-            }
-        }
+    let mut scratch = Vec::new();
+    for s in (0..z_levels(depth, z_scales)).rev() {
+        inverse_lines(samples, plane_len, plane_len, scaled_dim(depth, s), &mut scratch, |_| {});
     }
     Ok(())
+}
+
+/// Number of z levels that do any work: level `s` lifts
+/// `scaled_dim(depth, s)` planes, and past the point where that count
+/// saturates at one plane every further level is a no-op. Counting stops
+/// there, so a huge `z_scales` costs nothing.
+fn z_levels(depth: usize, z_scales: u32) -> u32 {
+    (0..z_scales).take_while(|&s| scaled_dim(depth, s) >= 2).count() as u32
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lifting1d::forward_53;
+    use crate::lifting1d::{approx_len, forward_53, forward_53_into, inverse_53};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+
+    /// The previous column-gather forward pass: every in-plane position's
+    /// column is gathered across slices, lifted with the 1-D kernel and
+    /// scattered back. Kept as the reference for the plane-vector pass.
+    fn reference_forward_z(samples: &mut [i32], plane_len: usize, depth: usize, z_scales: u32) {
+        let mut column = vec![0i32; depth];
+        let mut approx = vec![0i32; depth.div_ceil(2)];
+        let mut detail = vec![0i32; depth / 2];
+        for s in 0..z_scales {
+            let n = scaled_dim(depth, s);
+            if n < 2 {
+                break;
+            }
+            let a_len = approx_len(n);
+            for i in 0..plane_len {
+                for (z, slot) in column[..n].iter_mut().enumerate() {
+                    *slot = samples[z * plane_len + i];
+                }
+                forward_53_into(&column[..n], &mut approx[..a_len], &mut detail[..n - a_len]);
+                for (z, &v) in approx[..a_len].iter().enumerate() {
+                    samples[z * plane_len + i] = v;
+                }
+                for (z, &v) in detail[..n - a_len].iter().enumerate() {
+                    samples[(a_len + z) * plane_len + i] = v;
+                }
+            }
+        }
+    }
+
+    /// The previous column-gather inverse pass, kept as the reference.
+    fn reference_inverse_z(samples: &mut [i32], plane_len: usize, depth: usize, z_scales: u32) {
+        let mut approx = vec![0i32; depth.div_ceil(2)];
+        let mut detail = vec![0i32; depth / 2];
+        for s in (0..z_scales).rev() {
+            let n = scaled_dim(depth, s);
+            if n < 2 {
+                continue;
+            }
+            let a_len = approx_len(n);
+            for i in 0..plane_len {
+                for (z, slot) in approx[..a_len].iter_mut().enumerate() {
+                    *slot = samples[z * plane_len + i];
+                }
+                for (z, slot) in detail[..n - a_len].iter_mut().enumerate() {
+                    *slot = samples[(a_len + z) * plane_len + i];
+                }
+                let column = inverse_53(&approx[..a_len], &detail[..n - a_len]);
+                for (z, &v) in column.iter().enumerate() {
+                    samples[z * plane_len + i] = v;
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn plane_vector_passes_match_the_column_reference() {
+        for depth in 1usize..=17 {
+            for z_scales in 0u32..=6 {
+                for plane_len in [1usize, 6, 13] {
+                    let seed = (depth * 100 + plane_len) as u64 + u64::from(z_scales);
+                    let original = random_volume(plane_len, depth, seed);
+                    let mut fast = original.clone();
+                    let mut reference = original.clone();
+                    forward_z(&mut fast, plane_len, depth, z_scales).unwrap();
+                    reference_forward_z(&mut reference, plane_len, depth, z_scales);
+                    assert_eq!(fast, reference, "forward depth={depth} z_scales={z_scales}");
+                    // Diff the inverse on arbitrary coefficients too, not
+                    // only on the forward pass's output.
+                    let coeffs = random_volume(plane_len, depth, seed + 7);
+                    let mut fast = coeffs.clone();
+                    let mut reference = coeffs;
+                    inverse_z(&mut fast, plane_len, depth, z_scales).unwrap();
+                    reference_inverse_z(&mut reference, plane_len, depth, z_scales);
+                    assert_eq!(fast, reference, "inverse depth={depth} z_scales={z_scales}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn huge_z_scales_stop_at_the_saturated_level() {
+        // Regression: the inverse used to visit every one of 2^32 - 1 levels
+        // (each a no-op once the pyramid saturates), which never returned.
+        let original = random_volume(5, 9, 4);
+        let mut data = original.clone();
+        forward_z(&mut data, 5, 9, u32::MAX).unwrap();
+        let mut reference = original.clone();
+        reference_forward_z(&mut reference, 5, 9, 6);
+        assert_eq!(data, reference, "levels past saturation are no-ops");
+        inverse_z(&mut data, 5, 9, u32::MAX).unwrap();
+        assert_eq!(data, original);
+    }
 
     fn random_volume(plane_len: usize, depth: usize, seed: u64) -> Vec<i32> {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -4,7 +4,14 @@
 //! column passes of the 2-D DWT overlap in hardware, and one image follows
 //! the next through the datapath with no dead cycles. This crate is the
 //! software analogue of that organisation, layered on the bit-exact models of
-//! the rest of the workspace:
+//! the rest of the workspace.
+//!
+//! Every lifting engine here encodes through the same row-streaming path:
+//! the line cascade ([`lwc_lifting::LineDwt53`]) feeding per-subband Rice
+//! coders ([`lwc_coder::LosslessCodec::begin`] / [`lwc_coder::RowEncoder`]),
+//! with an `O(width x levels)` coefficient working set, and decodes through
+//! the row-vector inverse transform. The engines differ in how they fan the
+//! work out:
 //!
 //! * [`ParallelFixedDwt2d`] — *intra-image* parallelism: the rows (and the
 //!   column gathers) of every scale of the fixed-point 2-D DWT are fanned
@@ -41,14 +48,6 @@
 //!   container. This is the end-to-end realization of the paper's
 //!   architecture — Table I banks at Table II word lengths with an entropy
 //!   back end — rather than the engineering-preferred lifting path.
-//! * [`LineCompressor`] — the **line-based fused** encode path: the whole
-//!   multi-scale 5/3 transform runs in one streaming pass over the input
-//!   rows ([`lwc_lifting::LineDwt53`]) and coefficients are Rice-coded the
-//!   moment the cascade releases them, giving an `O(width x levels)`
-//!   coefficient working set and a push-style row API
-//!   ([`LineCompressor::begin`] / [`RowEncoder`]) that pairs with
-//!   [`TiledCompressor::decompress_row_bands`] for bounded-memory encode
-//!   *and* decode. Output bytes are identical to the sequential codec.
 //! * [`VolumeCompressor`] — the **volumetric** engine: an
 //!   [`lwc_image::ImageStack`] is sharded by a [`lwc_image::BrickGrid`] into
 //!   bricks, each brick runs a separable 3-D DWT (the reversible 5/3 kernel
@@ -81,7 +80,6 @@
 mod batch;
 mod codec;
 mod error;
-mod line;
 mod parcodec;
 mod pardwt;
 mod report;
@@ -94,7 +92,6 @@ mod volume;
 pub use batch::BatchCompressor;
 pub use codec::{Codec, CodecCapabilities};
 pub use error::PipelineError;
-pub use line::{LineCompressor, RowEncoder};
 pub use parcodec::{ParallelCodec, SubbandDirectory};
 pub use pardwt::ParallelFixedDwt2d;
 pub use report::{BatchReport, TiledDwtReport, TiledReport};

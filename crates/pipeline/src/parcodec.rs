@@ -12,6 +12,7 @@ use crate::PipelineError;
 use lwc_coder::bitio::{BitReader, BitWriter};
 use lwc_coder::{subband_order, CoderError, LosslessCodec, StreamHeader};
 use lwc_image::Image;
+use lwc_lifting::LineDwt53;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::thread;
@@ -152,7 +153,8 @@ impl ParallelCodec {
         image: &Image,
     ) -> Result<(Vec<u8>, SubbandDirectory), PipelineError> {
         let header = self.codec.header_for(image)?;
-        let coeffs = self.codec.transform().forward(image).map_err(CoderError::from)?;
+        let coeffs = LineDwt53::forward_view(&image.view(), self.codec.scales())
+            .map_err(CoderError::from)?;
         let order: Vec<(u32, usize)> = subband_order(self.codec.scales()).collect();
 
         // Extract and encode every subband on the worker pool (the container
