@@ -247,7 +247,7 @@ mod tests {
         out
     }
 
-    /// The previous two-pass inverse (all even samples into a vector, then
+    /// The two-pass inverse (all even samples into a vector, then
     /// the interleave), kept as the reference for [`inverse_53_into`] on
     /// every length.
     fn reference_inverse_53(approx: &[i32], detail: &[i32]) -> Vec<i32> {

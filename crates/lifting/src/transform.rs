@@ -336,7 +336,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The previous multi-pass inverse: per scale, a column-gather vertical
+    /// The column-gather multi-pass inverse: per scale, a vertical
     /// pass (two vectors per column) and then a row pass. Kept as the
     /// reference for the row-vector inverse.
     fn reference_inverse(coeffs: &LiftingCoefficients) -> Vec<i32> {

@@ -93,7 +93,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    /// The previous column-gather forward pass: every in-plane position's
+    /// The column-gather forward pass: every in-plane position's
     /// column is gathered across slices, lifted with the 1-D kernel and
     /// scattered back. Kept as the reference for the plane-vector pass.
     fn reference_forward_z(samples: &mut [i32], plane_len: usize, depth: usize, z_scales: u32) {
@@ -121,7 +121,7 @@ mod tests {
         }
     }
 
-    /// The previous column-gather inverse pass, kept as the reference.
+    /// The column-gather inverse pass, kept as the reference.
     fn reference_inverse_z(samples: &mut [i32], plane_len: usize, depth: usize, z_scales: u32) {
         let mut approx = vec![0i32; depth.div_ceil(2)];
         let mut detail = vec![0i32; depth / 2];
