@@ -3,7 +3,7 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::quant::QuantSchedule;
-use crate::{CoderError, RowEncoder, SubbandCodec};
+use crate::{CoderError, RowEncoder, StreamingSubbandDecoder, SubbandCodec};
 use lwc_image::{Image, ImageView};
 use lwc_lifting::geometry::{band_len, band_rect};
 use lwc_lifting::{Lifting53, LineDwt53};
@@ -136,6 +136,34 @@ impl StreamHeader {
             )));
         }
         Ok(())
+    }
+
+    /// Checks every field of the header against the one a container's own
+    /// geometry implies for this stream, so a forged or misplaced stream is
+    /// refused before anything is sized or decoded from it; the error names
+    /// the first field that differs.
+    fn ensure_matches(&self, expected: &StreamHeader) -> Result<(), CoderError> {
+        let mismatch = if (self.width, self.height) != (expected.width, expected.height) {
+            format!(
+                "stream declares a {}x{} frame but {}x{} was expected",
+                self.width, self.height, expected.width, expected.height
+            )
+        } else if self.bit_depth != expected.bit_depth {
+            format!(
+                "stream carries {}-bit samples but {}-bit was expected",
+                self.bit_depth, expected.bit_depth
+            )
+        } else if self.delta != expected.delta {
+            format!(
+                "stream carries quantizer delta {} but {} was expected",
+                self.delta, expected.delta
+            )
+        } else if self.scales != expected.scales {
+            format!("stream uses {} scales but {} was expected", self.scales, expected.scales)
+        } else {
+            return Ok(());
+        };
+        Err(CoderError::MalformedStream(mismatch))
     }
 
     /// Serializes the header: the `LWC1` layout for `delta = 0` (so
@@ -351,8 +379,10 @@ impl LosslessCodec {
 
     /// Rebuilds the Mallat-layout coefficient container from per-subband
     /// sample vectors in [`subband_order`] order, then runs the inverse
-    /// transform. Shared by [`LosslessCodec::decompress`] and the parallel
-    /// decoder.
+    /// transform — the assembly step of a decoder that materializes every
+    /// subband in its own vector (the per-subband parallel decoder).
+    /// [`LosslessCodec::decompress`] does not come through here: it decodes
+    /// each band row by row straight into the frame.
     ///
     /// # Errors
     ///
@@ -430,13 +460,9 @@ impl LosslessCodec {
             let step = schedule.step(scale, band);
             for (row_index, row) in samples.chunks(rect.width).enumerate() {
                 let start = (rect.y + row_index) * width + rect.x;
-                if step == 1 {
-                    data[start..start + row.len()].copy_from_slice(row);
-                } else {
-                    for (slot, &index) in data[start..start + row.len()].iter_mut().zip(row) {
-                        *slot = (i64::from(index) * step) as i32;
-                    }
-                }
+                let slot = &mut data[start..start + row.len()];
+                slot.copy_from_slice(row);
+                dequantize_row(slot, step);
             }
         }
         let coeffs = lwc_lifting::LiftingCoefficients::from_raw(
@@ -518,21 +544,93 @@ impl LosslessCodec {
     /// decode path for z-coefficient planes inside `LWCV` bricks, whose
     /// samples are signed transform outputs rather than pixels.
     ///
+    /// The decode allocates one `width x height` buffer — after the header
+    /// has passed [`StreamHeader::ensure_plausible_length`] — fills every
+    /// subband row by row straight into its rectangle of that buffer
+    /// ([`StreamingSubbandDecoder`]), dequantizes `LWCQ` rows in place, and
+    /// runs the inverse transform in the same buffer, which is returned.
+    ///
     /// # Errors
     ///
     /// Returns an error for malformed streams or mismatched configuration.
     pub fn decompress_raw(&self, bytes: &[u8]) -> Result<(StreamHeader, Vec<i32>), CoderError> {
+        let (header, mut reader) = self.read_header(bytes)?;
+        let mut data = vec![0i32; header.width * header.height];
+        self.decode_frame(&mut reader, &header, &mut data)?;
+        Ok((header, data))
+    }
+
+    /// [`LosslessCodec::decompress_raw`] into a caller's buffer: the stream
+    /// header must match `expected` field for field and `out` must hold
+    /// exactly its `width x height` samples, both checked before any sample
+    /// is decoded. The volume decoder reconstructs each coefficient plane
+    /// straight into its slot of the brick this way, with the header it
+    /// expects from the brick rectangle and the container.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for malformed streams or mismatched configuration,
+    /// [`CoderError::MalformedStream`] for a header that differs from
+    /// `expected`, and [`LiftingError::ConfigurationMismatch`] (wrapped) if
+    /// `out` does not fit `expected`.
+    ///
+    /// [`LiftingError::ConfigurationMismatch`]: lwc_lifting::LiftingError::ConfigurationMismatch
+    pub fn decompress_raw_into(
+        &self,
+        bytes: &[u8],
+        expected: &StreamHeader,
+        out: &mut [i32],
+    ) -> Result<(), CoderError> {
+        let (header, mut reader) = self.read_header(bytes)?;
+        header.ensure_matches(expected)?;
+        if header.width.checked_mul(header.height) != Some(out.len()) {
+            return Err(lwc_lifting::LiftingError::ConfigurationMismatch(format!(
+                "a {}x{} stream cannot decode into a buffer of {} samples",
+                header.width,
+                header.height,
+                out.len()
+            ))
+            .into());
+        }
+        self.decode_frame(&mut reader, &header, out)
+    }
+
+    /// Reads the stream header and checks it against this codec and the
+    /// stream length, leaving the reader at the first subband.
+    fn read_header<'b>(
+        &self,
+        bytes: &'b [u8],
+    ) -> Result<(StreamHeader, BitReader<'b>), CoderError> {
         let mut reader = BitReader::new(bytes);
         let header = StreamHeader::read(&mut reader)?;
         header.ensure_scales(self.scales())?;
         header.ensure_plausible_length(bytes.len())?;
-        let subbands: Vec<Vec<i32>> = subband_order(self.scales())
-            .map(|(scale, band)| {
-                self.subbands.decode_subband(&mut reader, header.band_len(scale, band))
-            })
-            .collect::<Result<_, _>>()?;
-        let data = self.reassemble_raw(&header, &subbands)?;
-        Ok((header, data))
+        Ok((header, reader))
+    }
+
+    /// Decodes every subband row by row into its rectangle of the
+    /// `width x height` Mallat-layout buffer `data`, dequantizing `LWCQ`
+    /// rows (driven by the *stream's* delta) as they land, then inverts the
+    /// transform in place. Each coefficient is written once.
+    fn decode_frame(
+        &self,
+        reader: &mut BitReader<'_>,
+        header: &StreamHeader,
+        data: &mut [i32],
+    ) -> Result<(), CoderError> {
+        let width = header.width;
+        let schedule = QuantSchedule::for_delta(header.delta, self.scales());
+        for (scale, band) in subband_order(self.scales()) {
+            let rect = band_rect(width, header.height, scale, band);
+            let step = schedule.step(scale, band);
+            let mut decoder = StreamingSubbandDecoder::new(rect.pixel_count());
+            for y in rect.y..rect.bottom() {
+                let row = &mut data[y * width + rect.x..][..rect.width];
+                decoder.fill(reader, row)?;
+                dequantize_row(row, step);
+            }
+        }
+        Ok(self.transform.inverse_in_place(data, width, header.height)?)
     }
 
     /// Compresses and reports the sizes.
@@ -552,6 +650,16 @@ impl LosslessCodec {
             bits_per_pixel: bytes.len() as f64 * 8.0 / image.pixel_count() as f64,
         };
         Ok((bytes, report))
+    }
+}
+
+/// Maps one row of quantizer indices back to their grid centers in place;
+/// a step of 1 (every lossless band) leaves the row untouched.
+fn dequantize_row(row: &mut [i32], step: i64) {
+    if step != 1 {
+        for value in row {
+            *value = (i64::from(*value) * step) as i32;
+        }
     }
 }
 

@@ -131,7 +131,8 @@ impl FixedSubbandCodec {
         while remaining > 0 {
             let block_len = remaining.min(BLOCK_SIZE);
             let k = self.read_parameter(reader)?;
-            // Grow once and write through the slice (see rice::decode_into).
+            // Grow once and write through the slice: no growth checks in
+            // the per-word loop.
             let start = out.len();
             out.resize(start + block_len, 0);
             for slot in &mut out[start..] {

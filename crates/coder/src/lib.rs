@@ -12,7 +12,9 @@
 //! * [`LosslessCodec`] — an end-to-end image codec built on the reversible
 //!   5/3 lifting transform from `lwc-lifting`, byte-exact on decode; every
 //!   encode streams rows through the line cascade into per-subband Rice
-//!   coders ([`RowEncoder`], started by [`LosslessCodec::begin`]),
+//!   coders ([`RowEncoder`], started by [`LosslessCodec::begin`]), and
+//!   every decode fills each subband row by row straight into the one
+//!   frame buffer it inverts in place ([`StreamingSubbandDecoder`]),
 //! * [`quant`] — the near-lossless mode: deterministic detail-band
 //!   quantization schedules derived from a per-pixel error bound `δ` and
 //!   the 5/3 synthesis gain, carried in the `LWCQ` stream header
@@ -73,7 +75,9 @@ pub use fixedtiled::{
 };
 pub use line::RowEncoder;
 pub use quant::{plane_delta_for_volume, QuantSchedule};
-pub use subband::{StreamingSubbandEncoder, SubbandCodec, BLOCK_SIZE, MAX_UNARY_RUN_BITS};
+pub use subband::{
+    StreamingSubbandDecoder, StreamingSubbandEncoder, SubbandCodec, BLOCK_SIZE, MAX_UNARY_RUN_BITS,
+};
 pub use tiled::{TiledHeader, TiledStream};
 pub use volume::{
     is_volume, write_volume_container, VolumeHeader, VolumeStream, VOLUME_HEADER_BYTES,

@@ -78,9 +78,10 @@ pub fn encode_zigzag(writer: &mut BitWriter, u: u64, k: u32) {
     let quotient = u >> k;
     let remainder = u & ((1u64 << k) - 1);
     let total = quotient + 1 + u64::from(k);
-    if total <= 57 {
+    if total <= 32 {
         // Fast path: the whole codeword — `quotient` ones, the zero
-        // terminator, then the remainder — fits one `write_bits` field.
+        // terminator, then the remainder — fits one `write_bits` field of
+        // at most the writer's 32-bit chunk.
         writer.write_bits((((1 << (quotient + 1)) - 2) << k) | remainder, total as u32);
     } else {
         writer.write_unary(quotient);
@@ -107,45 +108,6 @@ pub fn encode_slice(writer: &mut BitWriter, values: &[i32], k: u32) -> u64 {
         encode_value(writer, v, k);
     }
     writer.bit_len() - before
-}
-
-/// Decodes `count` values coded with parameter `k`.
-///
-/// # Errors
-///
-/// Returns [`CoderError::MalformedStream`] at end of input.
-pub fn decode_slice(
-    reader: &mut BitReader<'_>,
-    count: usize,
-    k: u32,
-) -> Result<Vec<i32>, CoderError> {
-    let mut out = Vec::with_capacity(count);
-    decode_into(reader, &mut out, count, k)?;
-    Ok(out)
-}
-
-/// Decodes `count` values coded with parameter `k`, appending them to `out`
-/// without any intermediate allocation (the per-block hot path of the
-/// subband decoder).
-///
-/// # Errors
-///
-/// Returns [`CoderError::MalformedStream`] at end of input.
-pub fn decode_into(
-    reader: &mut BitReader<'_>,
-    out: &mut Vec<i32>,
-    count: usize,
-    k: u32,
-) -> Result<(), CoderError> {
-    // Grow once and write through the slice so the hot loop has no growth
-    // checks. On error the zero-filled tail is discarded by the caller along
-    // with the rest of the output.
-    let start = out.len();
-    out.resize(start + count, 0);
-    for slot in &mut out[start..] {
-        *slot = decode_value(reader, k)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -209,7 +171,8 @@ mod tests {
         assert!(bits > 0);
         let bytes = w.into_bytes();
         let mut r = BitReader::new(&bytes);
-        assert_eq!(decode_slice(&mut r, values.len(), k).unwrap(), values);
+        let back: Vec<i32> = values.iter().map(|_| decode_value(&mut r, k).unwrap()).collect();
+        assert_eq!(back, values);
     }
 
     #[test]

@@ -59,7 +59,8 @@ impl SubbandCodec {
         writer.bit_len() - before
     }
 
-    /// Decodes one subband of `count` samples.
+    /// Decodes one subband of `count` samples into a new vector: allocate,
+    /// then one [`StreamingSubbandDecoder::fill`] over the whole band.
     ///
     /// # Errors
     ///
@@ -70,26 +71,14 @@ impl SubbandCodec {
         reader: &mut BitReader<'_>,
         count: usize,
     ) -> Result<Vec<i32>, CoderError> {
-        let mut out = Vec::with_capacity(count);
-        let mut remaining = count;
-        while remaining > 0 {
-            let block_len = remaining.min(BLOCK_SIZE);
-            let k = reader.read_bits(5)? as u32;
-            if k > MAX_RICE_PARAMETER {
-                return Err(CoderError::MalformedStream(format!(
-                    "rice parameter {k} exceeds the supported maximum"
-                )));
-            }
-            rice::decode_into(reader, &mut out, block_len, k)?;
-            remaining -= block_len;
-        }
+        let mut out = vec![0; count];
+        StreamingSubbandDecoder::new(count).fill(reader, &mut out)?;
         Ok(out)
     }
 
     /// Advances `reader` past one subband of `count` samples without
-    /// materializing the values (the unary prefixes still have to be scanned,
-    /// but the remainders are skipped in one hop per value and nothing is
-    /// zig-zag decoded or collected).
+    /// materializing the values (each codeword is still parsed, but nothing
+    /// is zig-zag decoded or collected).
     ///
     /// This is how the parallel decoder builds its subband directory from a
     /// plain sequential stream: one cheap scan finds every subband's bit
@@ -103,20 +92,26 @@ impl SubbandCodec {
         let mut remaining = count;
         while remaining > 0 {
             let block_len = remaining.min(BLOCK_SIZE);
-            let k = reader.read_bits(5)? as u32;
-            if k > MAX_RICE_PARAMETER {
-                return Err(CoderError::MalformedStream(format!(
-                    "rice parameter {k} exceeds the supported maximum"
-                )));
-            }
+            let k = read_parameter(reader)?;
             for _ in 0..block_len {
-                reader.read_unary()?;
-                reader.skip_bits(u64::from(k))?;
+                reader.read_unary_then_bits(k)?;
             }
             remaining -= block_len;
         }
         Ok(())
     }
+}
+
+/// Reads one block's 5-bit Rice parameter, rejecting values above
+/// [`MAX_RICE_PARAMETER`].
+fn read_parameter(reader: &mut BitReader<'_>) -> Result<u32, CoderError> {
+    let k = reader.read_bits(5)? as u32;
+    if k > MAX_RICE_PARAMETER {
+        return Err(CoderError::MalformedStream(format!(
+            "rice parameter {k} exceeds the supported maximum"
+        )));
+    }
+    Ok(k)
 }
 
 /// Encodes one block (at most [`BLOCK_SIZE`] samples): the 5-bit Rice
@@ -212,6 +207,70 @@ impl StreamingSubbandEncoder {
     }
 }
 
+/// Row-fill counterpart of [`StreamingSubbandEncoder`] for one subband of
+/// `count` samples: the caller hands it slices in stream order — typically
+/// each row of the band's rectangle inside the frame being reconstructed —
+/// and it fills them straight from the bitstream. The current block's Rice
+/// parameter and the samples left in that block carry across calls, so a
+/// block may span rows and a row may span blocks.
+///
+/// Filling any split of the band decodes exactly what one
+/// [`SubbandCodec::decode_subband`] call returns; that method is this
+/// decoder run over one freshly allocated slice.
+#[derive(Debug, Clone)]
+pub struct StreamingSubbandDecoder {
+    /// Samples of the band not yet decoded.
+    remaining: usize,
+    /// Samples of the current block not yet decoded (0 before a block's
+    /// parameter has been read).
+    block_left: usize,
+    /// Rice parameter of the current block.
+    k: u32,
+}
+
+impl StreamingSubbandDecoder {
+    /// Creates a decoder for one subband of `count` samples.
+    #[must_use]
+    pub fn new(count: usize) -> Self {
+        Self { remaining: count, block_left: 0, k: 0 }
+    }
+
+    /// Decodes the next `out.len()` samples of the band into `out`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CoderError::MalformedStream`] if the stream is truncated or
+    /// a stored parameter is out of range. The decoder and `out` are then in
+    /// an unspecified state.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is longer than the samples of the band not yet
+    /// decoded.
+    pub fn fill(&mut self, reader: &mut BitReader<'_>, out: &mut [i32]) -> Result<(), CoderError> {
+        assert!(
+            out.len() <= self.remaining,
+            "{} samples requested but only {} remain in the subband",
+            out.len(),
+            self.remaining
+        );
+        let mut out = out;
+        while !out.is_empty() {
+            if self.block_left == 0 {
+                self.k = read_parameter(reader)?;
+                self.block_left = self.remaining.min(BLOCK_SIZE);
+            }
+            let take = self.block_left.min(out.len());
+            let (head, tail) = out.split_at_mut(take);
+            reader.read_codewords(self.k, head, rice::zigzag_decode)?;
+            self.block_left -= take;
+            self.remaining -= take;
+            out = tail;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,6 +297,86 @@ mod tests {
             assert_eq!(bits, reference_bits);
             assert_eq!(bytes, reference.clone().into_bytes());
         }
+    }
+
+    /// Fills `count` samples through the row-fill decoder in rows of
+    /// `width` (the last row ragged), as the frame decoder does.
+    fn fill_in_rows(bytes: &[u8], count: usize, width: usize) -> Result<Vec<i32>, CoderError> {
+        let mut reader = BitReader::new(bytes);
+        let mut decoder = StreamingSubbandDecoder::new(count);
+        let mut out = vec![0; count];
+        for row in out.chunks_mut(width) {
+            decoder.fill(&mut reader, row)?;
+        }
+        Ok(out)
+    }
+
+    #[test]
+    fn row_fill_decoder_matches_decode_subband_on_ragged_rows() {
+        let mut rng = StdRng::seed_from_u64(17);
+        for count in [0usize, 1, 63, 64, 65, 200, 1031] {
+            let samples: Vec<i32> = (0..count)
+                .map(|i| {
+                    if i % 97 == 5 {
+                        rng.gen_range(-40_000..40_000)
+                    } else {
+                        rng.gen_range(-9..9)
+                    }
+                })
+                .collect();
+            let mut w = BitWriter::new();
+            SubbandCodec::new().encode_subband(&mut w, &samples);
+            let bits = w.bit_len();
+            let bytes = w.into_bytes();
+            let mut r = BitReader::new(&bytes);
+            let reference = SubbandCodec::new().decode_subband(&mut r, count).unwrap();
+            assert_eq!(reference, samples);
+            assert_eq!(r.bits_read(), bits);
+            for width in [1usize, 63, 64, 65, 97] {
+                assert_eq!(
+                    fill_in_rows(&bytes, count, width).unwrap(),
+                    reference,
+                    "{count}/{width}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn row_fill_decoder_rejects_every_truncation_and_wide_parameters() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let samples: Vec<i32> = (0..300).map(|_| rng.gen_range(-3000..3000)).collect();
+        let mut w = BitWriter::new();
+        SubbandCodec::new().encode_subband(&mut w, &samples);
+        let bytes = w.into_bytes();
+        for len in 0..bytes.len() {
+            for width in [1usize, 63, 64, 65, 97] {
+                assert!(
+                    matches!(
+                        fill_in_rows(&bytes[..len], samples.len(), width),
+                        Err(CoderError::MalformedStream(_))
+                    ),
+                    "prefix of {len} bytes, rows of {width}"
+                );
+            }
+        }
+        for k in (MAX_RICE_PARAMETER + 1)..32 {
+            let mut w = BitWriter::new();
+            w.write_bits(u64::from(k), 5);
+            w.write_bits(0, 64);
+            let bytes = w.into_bytes();
+            assert!(matches!(fill_in_rows(&bytes, 4, 3), Err(CoderError::MalformedStream(_))));
+        }
+        // A second block with a bad parameter is caught mid-row, too.
+        let mut w = BitWriter::new();
+        SubbandCodec::new().encode_subband(&mut w, &[0; BLOCK_SIZE]);
+        w.write_bits(31, 5);
+        w.write_bits(0, 64);
+        let bytes = w.into_bytes();
+        assert!(matches!(
+            fill_in_rows(&bytes, BLOCK_SIZE + 4, 65),
+            Err(CoderError::MalformedStream(_))
+        ));
     }
 
     #[test]

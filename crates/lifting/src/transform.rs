@@ -228,9 +228,32 @@ impl Lifting53 {
                 coeffs.scales, self.scales
             )));
         }
-        let width = coeffs.width;
-        let height = coeffs.height;
         let mut data = coeffs.data;
+        self.inverse_in_place(&mut data, coeffs.width, coeffs.height)?;
+        Ok(data)
+    }
+
+    /// [`Lifting53::inverse_raw`] over a borrowed `width x height`
+    /// Mallat-layout buffer, reconstructed in place — the path for decoders
+    /// that rebuild coefficients straight inside their output (a plane's
+    /// slot in a volume brick) and own no buffer to hand over.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LiftingError::ConfigurationMismatch`] if `data` does not
+    /// hold exactly `width x height >= 1 x 1` samples.
+    pub fn inverse_in_place(
+        &self,
+        data: &mut [i32],
+        width: usize,
+        height: usize,
+    ) -> Result<(), LiftingError> {
+        if width == 0 || height == 0 || width.checked_mul(height) != Some(data.len()) {
+            return Err(LiftingError::ConfigurationMismatch(format!(
+                "buffer holds {} samples but the layout is {width}x{height}",
+                data.len()
+            )));
+        }
         let mut detail_rows = Vec::new();
         let mut row = Vec::new();
         for s in (1..=self.scales).rev() {
@@ -238,14 +261,14 @@ impl Lifting53 {
             let cur_h = scaled_dim(height, s - 1);
             let a_w = approx_len(cur_w);
             row.resize(cur_w, 0);
-            inverse_lines(&mut data, width, cur_w, cur_h, &mut detail_rows, |line| {
+            inverse_lines(data, width, cur_w, cur_h, &mut detail_rows, |line| {
                 if cur_w >= 2 {
                     row.copy_from_slice(line);
                     inverse_53_into(&row[..a_w], &row[a_w..], line);
                 }
             });
         }
-        Ok(data)
+        Ok(())
     }
 
     /// Inverse transform scattered into a window of an existing frame — the

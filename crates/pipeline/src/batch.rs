@@ -143,17 +143,17 @@ impl BatchCompressor {
         Codec::compress(&self.single_image_codec(), image)
     }
 
-    /// Decompresses one stream with per-subband parallelism.
-    ///
-    /// **Note**: superseded by [`Codec::decompress`] on
-    /// [`BatchCompressor::single_image_codec`], same as
-    /// [`BatchCompressor::compress_one`].
+    /// Decompresses one stream with the sequential codec, straight into the
+    /// frame. The per-subband parallel decoder
+    /// ([`BatchCompressor::single_image_codec`]) first skip-scans the whole
+    /// stream for its subband directory, which costs more than its parallel
+    /// decode wins back (about 1.4x slower at 4096² on 2 workers).
     ///
     /// # Errors
     ///
     /// Returns an error for malformed streams or mismatched configuration.
     pub fn decompress_one(&self, bytes: &[u8]) -> Result<Image, PipelineError> {
-        Codec::decompress(&self.single_image_codec(), bytes)
+        Ok(self.codec.decompress(bytes)?)
     }
 
     /// Compresses a whole batch, returning the per-image streams (in input

@@ -20,7 +20,7 @@
 
 use crate::parcodec::run_indexed;
 use crate::report::TiledReport;
-use crate::{ParallelCodec, PipelineError};
+use crate::PipelineError;
 use lwc_coder::bitio::BitReader;
 use lwc_coder::tiled::{is_tiled, write_container, TiledHeader, TiledStream};
 use lwc_coder::{CoderError, LosslessCodec, StreamHeader};
@@ -257,8 +257,11 @@ impl TiledCompressor {
     /// tiles that disagree with the container's grid geometry.
     pub fn decompress(&self, bytes: &[u8]) -> Result<Image, PipelineError> {
         if !is_tiled(bytes) {
-            // Legacy stream: reuse the per-subband parallel decoder.
-            return ParallelCodec::with_codec(self.codec, self.workers).decompress(bytes);
+            // Legacy stream: one sequential decode straight into the frame.
+            // (The per-subband parallel decoder would first skip-scan the
+            // whole stream for its directory, which costs more than the
+            // parallelism wins back.)
+            return Ok(self.codec.decompress(bytes)?);
         }
         let stream = TiledStream::parse(bytes)?;
         let header = *stream.header();
@@ -306,7 +309,7 @@ impl TiledCompressor {
                 ))
                 .into());
             }
-            return ParallelCodec::with_codec(self.codec, self.workers).decompress(bytes);
+            return Ok(self.codec.decompress(bytes)?);
         }
         self.decompress_parsed_tile(&TiledStream::parse(bytes)?, index)
     }

@@ -27,7 +27,9 @@ use crate::parcodec::run_indexed;
 use crate::report::TiledReport;
 use crate::PipelineError;
 use lwc_coder::volume::{split_brick_payload, write_brick_payload, write_volume_container};
-use lwc_coder::{plane_delta_for_volume, CoderError, LosslessCodec, VolumeHeader, VolumeStream};
+use lwc_coder::{
+    plane_delta_for_volume, CoderError, LosslessCodec, StreamHeader, VolumeHeader, VolumeStream,
+};
 use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, ImageView};
 use lwc_lifting::{forward_z, inverse_z};
 use std::thread;
@@ -509,12 +511,15 @@ impl VolumeCompressor {
     }
 
     /// Decodes one brick: splits the payload's plane table, 2-D decodes
-    /// every coefficient plane through the raw (range-unchecked) path, then
-    /// inverts the z transform with the **container's** `z_scales`. Each
-    /// plane's stream header must carry the per-plane quantizer delta the
-    /// container's volume bound implies; near-lossless voxels are clamped to
-    /// the container's sample range after the inverse z transform (clamping
-    /// only moves a reconstruction toward the original, so the bound holds).
+    /// every coefficient plane through the raw (range-unchecked) path
+    /// straight into its slot of the brick buffer, then inverts the z
+    /// transform with the **container's** `z_scales`. Each plane's stream
+    /// header is checked before the plane is decoded: it must declare the
+    /// brick rectangle's shape, the container's bit depth and the per-plane
+    /// quantizer delta the container's volume bound implies. Near-lossless
+    /// voxels are clamped to the container's sample range after the inverse
+    /// z transform (clamping only moves a reconstruction toward the
+    /// original, so the bound holds).
     fn decode_brick(
         &self,
         stream: &VolumeStream<'_>,
@@ -522,35 +527,25 @@ impl VolumeCompressor {
         index: usize,
     ) -> Result<Vec<i32>, CoderError> {
         let header = stream.header();
-        let expected_delta = plane_delta_for_volume(header.delta, header.z_scales);
         let rect = grid.rect(index);
         let plane_len = rect.plane.pixel_count();
         let planes = split_brick_payload(stream.brick_bytes(index), rect.depth)?;
-        let mut samples = Vec::with_capacity(plane_len * rect.depth);
-        for (z, plane_bytes) in planes.iter().enumerate() {
-            let (plane_header, plane) = self.codec.decompress_raw(plane_bytes)?;
-            if plane_header.delta != expected_delta {
-                return Err(CoderError::MalformedStream(format!(
-                    "brick {index} plane {z} carries quantizer delta {} but the container's \
-                     volume bound {} implies {}",
-                    plane_header.delta, header.delta, expected_delta
-                )));
-            }
-            if plane_header.width != rect.plane.width || plane_header.height != rect.plane.height {
-                return Err(CoderError::MalformedStream(format!(
-                    "brick {index} plane {z} decodes to {}x{} but the grid places a {}x{} brick \
-                     there",
-                    plane_header.width, plane_header.height, rect.plane.width, rect.plane.height
-                )));
-            }
-            if plane_header.bit_depth != header.bit_depth {
-                return Err(CoderError::MalformedStream(format!(
-                    "brick {index} plane {z} carries {}-bit samples but the container header says \
-                     {}-bit",
-                    plane_header.bit_depth, header.bit_depth
-                )));
-            }
-            samples.extend_from_slice(&plane);
+        let expected = StreamHeader {
+            width: rect.plane.width,
+            height: rect.plane.height,
+            bit_depth: header.bit_depth,
+            scales: self.codec.scales(),
+            delta: plane_delta_for_volume(header.delta, header.z_scales),
+        };
+        let mut samples = vec![0i32; plane_len * rect.depth];
+        for (z, (plane_bytes, slot)) in planes.iter().zip(samples.chunks_mut(plane_len)).enumerate()
+        {
+            self.codec.decompress_raw_into(plane_bytes, &expected, slot).map_err(|e| match e {
+                CoderError::MalformedStream(msg) => {
+                    CoderError::MalformedStream(format!("brick {index} plane {z}: {msg}"))
+                }
+                other => other,
+            })?;
         }
         inverse_z(&mut samples, plane_len, rect.depth, header.z_scales)?;
         if header.delta != 0 {
@@ -852,6 +847,47 @@ mod tests {
             }
             other => panic!("expected MalformedStream, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn planes_declaring_a_larger_plane_are_rejected_before_decoding() {
+        // The first half of a stream for a plane twice the brick's width,
+        // spliced into brick 0. Its header passes the length-plausibility
+        // check, and decoding it would run off the end; the error must come
+        // from the header check against the brick rectangle instead, before
+        // any sample is decoded.
+        let engine = VolumeCompressor::new(3, 1, 32, 4, 2).unwrap();
+        let volume = synth::ct_volume(48, 40, 5, 12, 17);
+        let bytes = engine.compress_stack(&volume).unwrap();
+        let stream = VolumeStream::parse(&bytes).unwrap();
+        let grid = stream.grid().unwrap();
+        let rect = grid.rect(0);
+        let mut planes: Vec<Vec<u8>> = split_brick_payload(stream.brick_bytes(0), rect.depth)
+            .unwrap()
+            .iter()
+            .map(|plane| plane.to_vec())
+            .collect();
+        let larger = synth::ct_phantom(2 * rect.plane.width, rect.plane.height, 12, 1);
+        let stream_bytes = engine.codec().compress(&larger).unwrap();
+        let half = &stream_bytes[..stream_bytes.len() / 2];
+        assert!(half.len() * 8 >= larger.pixel_count(), "the header must look plausible");
+        planes[1] = half.to_vec();
+        let mut payloads: Vec<Vec<u8>> =
+            (0..grid.brick_count()).map(|i| stream.brick_bytes(i).to_vec()).collect();
+        payloads[0] = write_brick_payload(&planes);
+        let forged = write_volume_container(stream.header(), &payloads).unwrap();
+        let want = format!("{}x{}", rect.plane.width, rect.plane.height);
+        match engine.decompress_stack(&forged) {
+            Err(PipelineError::Coder(CoderError::MalformedStream(msg))) => {
+                assert!(msg.contains("brick 0 plane 1") && msg.contains(&want), "{msg}");
+            }
+            other => panic!("expected MalformedStream, got {other:?}"),
+        }
+        let parsed = VolumeStream::parse(&forged).unwrap();
+        assert!(matches!(
+            engine.decode_brick_samples(&parsed, &grid, 0),
+            Err(PipelineError::Coder(CoderError::MalformedStream(_)))
+        ));
     }
 
     #[test]

@@ -590,9 +590,19 @@ mod tests {
     fn pollers() -> Vec<Poller> {
         #[cfg(target_os = "linux")]
         {
+            /// Serializes the `LWC_POLL_BACKEND` mutation below: the tests
+            /// run on parallel threads, and without it one test can remove
+            /// the variable while another is building its forced `poll`
+            /// poller.
+            static BACKEND_ENV: std::sync::Mutex<()> = std::sync::Mutex::new(());
+            // A test that panicked while holding the lock left the variable
+            // in a known state (it is reset below before any assert), so a
+            // poisoned lock is safe to reuse.
+            let _env = BACKEND_ENV.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
             std::env::set_var("LWC_POLL_BACKEND", "poll");
-            let forced = Poller::new().unwrap();
+            let forced = Poller::new();
             std::env::remove_var("LWC_POLL_BACKEND");
+            let forced = forced.unwrap();
             let default = Poller::new().unwrap();
             assert_eq!(forced.backend_name(), "poll");
             assert_eq!(default.backend_name(), "epoll");
