@@ -1,11 +1,11 @@
 //! Inter-image parallelism: the batch Rice-codec engine.
 
+use crate::executor::run_indexed;
 use crate::report::BatchReport;
 use crate::stream::{spawn_ordered, OrderedStream};
 use crate::{Codec, PipelineError, TiledCompressor, TiledFixedCompressor};
 use lwc_coder::LosslessCodec;
 use lwc_image::Image;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::thread;
 use std::time::Instant;
 
@@ -169,7 +169,7 @@ impl BatchCompressor {
         let raw_bytes: usize =
             images.iter().map(|i| (i.pixel_count() * i.bit_depth() as usize).div_ceil(8)).sum();
         let start = Instant::now();
-        let streams = self.run_indexed(images, |image| Ok(self.codec.compress(image)?))?;
+        let streams = run_indexed(self.workers, images.len(), |i| self.codec.compress(&images[i]))?;
         let wall = start.elapsed();
         let compressed_bytes = streams.iter().map(Vec::len).sum();
         let report = BatchReport {
@@ -194,7 +194,8 @@ impl BatchCompressor {
         streams: &[Vec<u8>],
     ) -> Result<(Vec<Image>, BatchReport), PipelineError> {
         let start = Instant::now();
-        let images = self.run_indexed(streams, |bytes| Ok(self.codec.decompress(bytes)?))?;
+        let images =
+            run_indexed(self.workers, streams.len(), |i| self.codec.decompress(&streams[i]))?;
         let wall = start.elapsed();
         let raw_bytes =
             images.iter().map(|i| (i.pixel_count() * i.bit_depth() as usize).div_ceil(8)).sum();
@@ -229,69 +230,6 @@ impl BatchCompressor {
     {
         let codec = self.codec;
         spawn_ordered(self.workers, streams.into_iter(), move |bytes| Ok(codec.decompress(&bytes)?))
-    }
-
-    /// Applies `job` to every element of `inputs` on the worker pool and
-    /// collects the outputs in input order.
-    fn run_indexed<In, Out, Job>(&self, inputs: &[In], job: Job) -> Result<Vec<Out>, PipelineError>
-    where
-        In: Sync,
-        Out: Send,
-        Job: Fn(&In) -> Result<Out, PipelineError> + Sync,
-    {
-        let workers = self.workers.min(inputs.len()).max(1);
-        if workers == 1 {
-            return inputs.iter().map(job).collect();
-        }
-        let cursor = AtomicUsize::new(0);
-        let failed = AtomicBool::new(false);
-        let mut collected: Vec<Vec<(usize, Out)>> = Vec::new();
-        let outcome: Result<Vec<Vec<(usize, Out)>>, PipelineError> = thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local = Vec::new();
-                        loop {
-                            // Once any worker has errored the batch is doomed:
-                            // stop pulling work instead of compressing the
-                            // whole remainder just to throw it away.
-                            if failed.load(Ordering::Relaxed) {
-                                return Ok(local);
-                            }
-                            let index = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some(input) = inputs.get(index) else {
-                                return Ok(local);
-                            };
-                            match job(input) {
-                                Ok(output) => local.push((index, output)),
-                                Err(error) => {
-                                    failed.store(true, Ordering::Relaxed);
-                                    return Err(error);
-                                }
-                            }
-                        }
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("batch worker panicked")).collect()
-        });
-        collected.extend(outcome?);
-
-        let mut slots: Vec<Option<Out>> = (0..inputs.len()).map(|_| None).collect();
-        for (index, output) in collected.into_iter().flatten() {
-            slots[index] = Some(output);
-        }
-        // Every slot is filled unless a worker errored, and errors returned
-        // above. (A worker that observed an error stops early, but then the
-        // `?` has already propagated it.)
-        slots
-            .into_iter()
-            .map(|slot| {
-                slot.ok_or_else(|| {
-                    PipelineError::Config("batch worker abandoned an input slot".into())
-                })
-            })
-            .collect()
     }
 }
 

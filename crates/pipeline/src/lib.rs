@@ -13,10 +13,6 @@
 //! the row-vector inverse transform. The engines differ in how they fan the
 //! work out:
 //!
-//! * [`ParallelFixedDwt2d`] — *intra-image* parallelism: the rows (and the
-//!   column gathers) of every scale of the fixed-point 2-D DWT are fanned
-//!   across `std::thread` workers. The arithmetic per row/column is untouched,
-//!   so the result is bit-identical to [`lwc_dwt::FixedDwt2d`].
 //! * [`BatchCompressor`] — *inter-image* parallelism: a batch of images is
 //!   fanned across worker threads, each running the end-to-end Rice codec
 //!   ([`lwc_coder::LosslessCodec`]). Streams are byte-identical to the
@@ -82,8 +78,8 @@
 mod batch;
 mod codec;
 mod error;
+mod executor;
 mod parcodec;
-mod pardwt;
 mod report;
 mod stream;
 mod tiled;
@@ -95,7 +91,6 @@ pub use batch::BatchCompressor;
 pub use codec::{Codec, CodecCapabilities};
 pub use error::PipelineError;
 pub use parcodec::{ParallelCodec, SubbandDirectory};
-pub use pardwt::ParallelFixedDwt2d;
 pub use report::{BatchReport, TiledDwtReport, TiledReport};
 pub use stream::OrderedStream;
 pub use tiled::{RowBand, RowBands, TiledCompressor, DEFAULT_TILE_SIZE};

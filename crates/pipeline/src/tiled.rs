@@ -18,7 +18,7 @@
 //!   walks the directory one tile-row at a time, so a consumer can stream a
 //!   huge image top to bottom without ever materializing all of it.
 
-use crate::parcodec::run_indexed;
+use crate::executor::run_indexed;
 use crate::report::TiledReport;
 use crate::PipelineError;
 use lwc_coder::bitio::BitReader;

@@ -16,7 +16,7 @@
 //! bit level into the exact sequential payload, the same machinery
 //! [`ParallelCodec`](crate::ParallelCodec) uses on the lifting path.
 
-use crate::parcodec::run_indexed;
+use crate::executor::run_indexed;
 use crate::report::TiledReport;
 use crate::{PipelineError, TiledFixedDwt2d};
 use lwc_coder::bitio::{BitReader, BitWriter};

@@ -8,10 +8,11 @@
 //! control — a **global in-flight budget** plus a per-connection cap, both
 //! answered with typed `busy` — and enter a work-stealing scheduler
 //! ([`WorkStealing`]): one deque per codec worker, owner LIFO at the bottom,
-//! idle workers stealing FIFO from the top. A multi-tile request splits
-//! itself into per-tile tasks on its worker's own deque, so one large image
-//! fans across every idle worker while the assembled bytes stay identical
-//! to the sequential engine's. Completed responses ride a completion queue
+//! idle workers stealing FIFO from the top. Every request takes one path: it
+//! is parsed once into a plan of independent parts (tiles or bricks) plus
+//! an assembly step, and its parts go on its worker's own deque, so one
+//! large image fans across every idle worker while the assembled bytes stay
+//! identical to the sequential engine's. Completed responses ride a completion queue
 //! back to the I/O thread, which wakes via [`Poller::notify`]. An optional
 //! content-hash LRU cache answers repeated compress/decompress payloads
 //! without touching the engine at all.
@@ -30,11 +31,10 @@ use lwc_coder::bitio::BitReader;
 use lwc_coder::fixedtiled::is_fixed;
 use lwc_coder::tiled::is_tiled;
 use lwc_coder::{
-    is_volume, FixedHeader, FixedStream, LosslessCodec, StreamHeader, TiledHeader, TiledStream,
-    VolumeHeader, VolumeStream,
+    is_volume, FixedStream, LosslessCodec, StreamHeader, TiledStream, VolumeHeader, VolumeStream,
 };
 use lwc_image::pgm;
-use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, TileGrid, TileRect};
+use lwc_image::{BrickRect, Image, ImageStack, TileGrid, TileRect};
 use lwc_pipeline::{
     scatter_region, Codec, TiledCompressor, TiledFixedCompressor, VolumeCompressor,
     DEFAULT_BRICK_DEPTH, DEFAULT_TILE_SIZE,
@@ -130,103 +130,69 @@ struct Job {
     payload: Vec<u8>,
 }
 
-/// A multi-tile `compress` fanned across workers: each tile task encodes
-/// one payload; the last to finish assembles the container.
-struct CompressFan {
-    token: usize,
-    request_id: u64,
-    /// Original PGM request payload (the cache key on insert).
-    payload: Vec<u8>,
-    image: Image,
-    grid: TileGrid,
-    parts: Mutex<Vec<Option<Vec<u8>>>>,
-    remaining: AtomicUsize,
-    failed: Mutex<Option<(ErrorCode, String)>>,
+/// The typed error reply a request earns.
+type Failure = (ErrorCode, String);
+
+/// One request, parsed and validated once: `parts` independent pieces of
+/// work (tiles or bricks) plus the assembly step that turns their outputs
+/// into the response payload. Part outputs land in slots the two closures
+/// share, so a part may run on any worker.
+struct Plan {
+    parts: usize,
+    /// Runs part `slot` and stores its output.
+    run: Box<dyn Fn(usize) -> Result<(), Failure> + Send + Sync>,
+    /// Builds the response from every part's output; called once, after
+    /// every part succeeded.
+    assemble: Box<dyn Fn() -> Result<Vec<u8>, Failure> + Send + Sync>,
 }
 
-/// A multi-tile `decompress` fanned across workers: each tile task decodes
-/// one tile image; the last to finish scatters them into the frame.
-struct DecodeFan {
-    token: usize,
-    request_id: u64,
-    /// The compressed container (re-parsed per tile; the directory makes
-    /// that a slice lookup, not a scan).
-    payload: Vec<u8>,
-    /// `true` for `LWCF`, `false` for `LWCT`.
-    fixed: bool,
-    width: usize,
-    height: usize,
-    bit_depth: u32,
-    grid: TileGrid,
-    parts: Mutex<Vec<Option<Image>>>,
-    remaining: AtomicUsize,
-    failed: Mutex<Option<(ErrorCode, String)>>,
+impl Plan {
+    /// A plan whose part `slot` produces one `T`; the assembly receives
+    /// every part's `T` in slot order.
+    fn new<T: Send + 'static>(
+        parts: usize,
+        part: impl Fn(usize) -> Result<T, Failure> + Send + Sync + 'static,
+        assemble: impl Fn(Vec<T>) -> Result<Vec<u8>, Failure> + Send + Sync + 'static,
+    ) -> Self {
+        let slots: Arc<Vec<Mutex<Option<T>>>> =
+            Arc::new((0..parts).map(|_| Mutex::new(None)).collect());
+        let filled = Arc::clone(&slots);
+        Self {
+            parts,
+            run: Box::new(move |slot| {
+                let output = part(slot)?;
+                *filled[slot].lock().expect("poisoned") = Some(output);
+                Ok(())
+            }),
+            assemble: Box::new(move || {
+                let outputs = slots
+                    .iter()
+                    .map(|slot| slot.lock().expect("poisoned").take().expect("every part ran"))
+                    .collect();
+                assemble(outputs)
+            }),
+        }
+    }
 }
 
-/// A multi-brick `compress-volume` fanned across workers: each brick task
-/// encodes one payload; the last to finish assembles the `LWCV` container.
-struct VolumeFan {
+/// A request in execution: its plan, who gets the reply, and the fan-in
+/// state. The last part to finish assembles and responds.
+struct Fan {
     token: usize,
     request_id: u64,
-    stack: ImageStack,
-    grid: BrickGrid,
-    parts: Mutex<Vec<Option<Vec<u8>>>>,
-    remaining: AtomicUsize,
-    failed: Mutex<Option<(ErrorCode, String)>>,
-}
-
-/// A fanned volumetric decode: each brick task decodes one brick's raw
-/// samples; the last to finish scatters them into the requested box. Serves
-/// both `decompress-volume` (the box is the whole volume) and
-/// `decompress-region` over `LWCV` streams.
-struct VolumeDecodeFan {
-    token: usize,
-    request_id: u64,
-    /// [`Op::OkDecompressVolume`] or [`Op::OkDecompressRegion`].
     respond_op: Op,
-    /// The `LWCV` container (request prefix stripped; re-parsed per brick —
-    /// the directory makes that a slice lookup, not a scan).
-    stream: Vec<u8>,
-    engine: VolumeCompressor,
-    header: VolumeHeader,
-    grid: BrickGrid,
-    /// The requested box, in volume coordinates.
-    rect: BrickRect,
-    /// Plane-major brick indices covering the box; slot `i` of `parts`
-    /// holds brick `indices[i]`.
-    indices: Vec<usize>,
-    parts: Mutex<Vec<Option<Vec<i32>>>>,
+    /// The request op and payload, kept for the response cache
+    /// (compress/decompress only).
+    cache_key: Option<(Op, Arc<Vec<u8>>)>,
+    plan: Plan,
     remaining: AtomicUsize,
-    failed: Mutex<Option<(ErrorCode, String)>>,
+    failed: Mutex<Option<Failure>>,
 }
 
-/// A fanned 2-D `decompress-region`: each task decodes one covering tile of
-/// an `LWCT`/`LWCF` directory; the last to finish crops the region out.
-struct RegionFan {
-    token: usize,
-    request_id: u64,
-    /// The container (request prefix stripped).
-    stream: Vec<u8>,
-    /// `true` for `LWCF`, `false` for `LWCT`.
-    fixed: bool,
-    rect: TileRect,
-    bit_depth: u32,
-    grid: TileGrid,
-    /// Row-major tile indices covering the rectangle.
-    indices: Vec<usize>,
-    parts: Mutex<Vec<Option<Image>>>,
-    remaining: AtomicUsize,
-    failed: Mutex<Option<(ErrorCode, String)>>,
-}
-
-/// What worker deques carry: whole requests, or per-tile slices of one.
+/// What worker deques carry: whole requests, or one part of a planned one.
 enum Task {
     Request(Job),
-    CompressTile { fan: Arc<CompressFan>, index: usize },
-    DecodeTile { fan: Arc<DecodeFan>, index: usize },
-    VolumeBrick { fan: Arc<VolumeFan>, index: usize },
-    VolumeDecodeBrick { fan: Arc<VolumeDecodeFan>, slot: usize },
-    RegionTile { fan: Arc<RegionFan>, slot: usize },
+    Part { fan: Arc<Fan>, slot: usize },
 }
 
 /// A finished response traveling from a worker back to the I/O thread.
@@ -249,6 +215,37 @@ struct Shared {
 }
 
 impl Shared {
+    /// The service state for a resolved configuration (workers, budgets and
+    /// cache filled in).
+    fn new(config: ServerConfig) -> Result<Self, ServerError> {
+        // The shared engines run single-threaded per tile or brick: the
+        // pool's parallelism lives across tasks, not inside one.
+        let codec =
+            LosslessCodec::near_lossless(config.scales, config.delta).map_err(ServerError::from)?;
+        let engine = TiledCompressor::with_codec(codec, config.tile_size, config.tile_size, 1)?;
+        let volume_engine = VolumeCompressor::with_codec(
+            codec,
+            config.z_scales,
+            config.tile_size,
+            config.tile_size,
+            config.brick_depth,
+            1,
+        )?;
+        Ok(Self {
+            config,
+            engine,
+            volume_engine,
+            sched: WorkStealing::new(config.workers),
+            metrics: Metrics::default(),
+            cache: (config.cache_entries > 0)
+                .then(|| Mutex::new(ResponseCache::new(config.cache_entries, config.cache_bytes))),
+            completions: Mutex::new(VecDeque::new()),
+            poller: Poller::new()?,
+            shutdown: AtomicBool::new(false),
+            loop_exit: AtomicBool::new(false),
+        })
+    }
+
     fn stats(&self) -> ServerStats {
         ServerStats::snapshot(
             &self.metrics,
@@ -321,37 +318,11 @@ impl Server {
                 config.max_payload_bytes
             )));
         }
-        // The shared engine runs single-threaded per tile: the pool's
-        // parallelism lives across tasks, not inside one.
-        let codec =
-            LosslessCodec::near_lossless(config.scales, config.delta).map_err(ServerError::from)?;
-        let engine = TiledCompressor::with_codec(codec, config.tile_size, config.tile_size, 1)?;
-        let volume_engine = VolumeCompressor::with_codec(
-            codec,
-            config.z_scales,
-            config.tile_size,
-            config.tile_size,
-            config.brick_depth,
-            1,
-        )?;
+        let shared = Arc::new(Shared::new(config)?);
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let poller = Poller::new()?;
-        poller.add(&listener, LISTENER_KEY, true, false)?;
-        let shared = Arc::new(Shared {
-            config,
-            engine,
-            volume_engine,
-            sched: WorkStealing::new(config.workers),
-            metrics: Metrics::default(),
-            cache: (config.cache_entries > 0)
-                .then(|| Mutex::new(ResponseCache::new(config.cache_entries, config.cache_bytes))),
-            completions: Mutex::new(VecDeque::new()),
-            poller,
-            shutdown: AtomicBool::new(false),
-            loop_exit: AtomicBool::new(false),
-        });
+        shared.poller.add(&listener, LISTENER_KEY, true, false)?;
 
         let workers = (0..config.workers)
             .map(|worker| {
@@ -776,628 +747,98 @@ fn close_conn(shared: &Arc<Shared>, conns: &mut HashMap<usize, Connection>, toke
 }
 
 /// Executes one scheduled task on a worker thread.
-fn run_task(shared: &Arc<Shared>, worker: usize, task: Task) {
+fn run_task(shared: &Shared, worker: usize, task: Task) {
     match task {
         Task::Request(job) => run_request(shared, worker, job),
-        Task::CompressTile { fan, index } => run_compress_tile(shared, &fan, index),
-        Task::DecodeTile { fan, index } => run_decode_tile(shared, &fan, index),
-        Task::VolumeBrick { fan, index } => run_volume_brick(shared, &fan, index),
-        Task::VolumeDecodeBrick { fan, slot } => run_volume_decode_brick(shared, &fan, slot),
-        Task::RegionTile { fan, slot } => run_region_tile(shared, &fan, slot),
+        Task::Part { fan, slot } => run_part(shared, &fan, slot),
     }
 }
 
-/// Runs a whole request: multi-tile work splits itself into per-tile tasks
-/// on this worker's own deque (idle workers steal them); everything else
-/// executes directly.
-fn run_request(shared: &Arc<Shared>, worker: usize, job: Job) {
-    let job = match try_fan_out(shared, worker, job) {
-        Ok(()) => return, // tiles queued; the last to finish responds
-        Err(job) => job,
+/// Plans a request and runs its parts: inline when there is one part or one
+/// worker, otherwise from this worker's own deque, where idle workers steal
+/// them.
+fn run_request(shared: &Shared, worker: usize, job: Job) {
+    let payload = Arc::new(job.payload);
+    let plan = match plan(shared, job.op, &payload) {
+        Ok(plan) => plan,
+        Err((code, message)) => {
+            respond_error(shared, job.token, job.request_id, code, &message);
+            return;
+        }
     };
-    let outcome = execute(shared, job.op, &job.payload)
-        .and_then(|payload| ensure_frame_fits(shared, payload));
-    match outcome {
-        Ok(response) => {
-            cache_insert(shared, job.op, &job.payload, &response);
-            respond_ok(shared, job.token, job.op.response(), job.request_id, response);
-        }
-        Err((code, message)) => respond_error(shared, job.token, job.request_id, code, &message),
-    }
-}
-
-/// Splits a multi-tile compress/decompress into per-tile tasks. `Err(job)`
-/// hands the request back for the direct path (single tile, single worker,
-/// or any condition the direct path will classify with its typed error).
-fn try_fan_out(shared: &Arc<Shared>, worker: usize, job: Job) -> Result<(), Job> {
-    if shared.sched.workers() < 2 {
-        return Err(job);
-    }
-    match job.op {
-        Op::Compress => {
-            let Ok(image) = pgm::read_pgm(job.payload.as_slice()) else { return Err(job) };
-            let Ok(grid) = shared.engine.grid(image.width(), image.height()) else {
-                return Err(job);
-            };
-            if grid.tile_count() < 2 {
-                return Err(job);
-            }
-            let tiles = grid.tile_count();
-            let fan = Arc::new(CompressFan {
-                token: job.token,
-                request_id: job.request_id,
-                payload: job.payload,
-                image,
-                grid,
-                parts: Mutex::new(vec![None; tiles]),
-                remaining: AtomicUsize::new(tiles),
-                failed: Mutex::new(None),
-            });
-            for index in 0..tiles {
-                shared
-                    .sched
-                    .push_local(worker, Task::CompressTile { fan: Arc::clone(&fan), index });
-            }
-            Ok(())
-        }
-        Op::Decompress => {
-            // Probe the container shape; any parse problem falls back to the
-            // direct path for its typed error.
-            let probe = if is_tiled(&job.payload) {
-                TiledStream::parse(&job.payload).ok().and_then(|s| {
-                    let h = *s.header();
-                    s.grid().ok().map(|g| (false, h.width, h.height, h.bit_depth, g))
-                })
-            } else if is_fixed(&job.payload) {
-                FixedStream::parse(&job.payload).ok().and_then(|s| {
-                    let h = *s.header();
-                    s.grid().ok().map(|g| (true, h.width, h.height, h.bit_depth, g))
-                })
-            } else {
-                None
-            };
-            let Some((fixed, width, height, bit_depth, grid)) = probe else { return Err(job) };
-            if grid.tile_count() < 2
-                || ensure_response_fits(shared, width, height, bit_depth).is_err()
-            {
-                return Err(job);
-            }
-            let tiles = grid.tile_count();
-            let fan = Arc::new(DecodeFan {
-                token: job.token,
-                request_id: job.request_id,
-                payload: job.payload,
-                fixed,
-                width,
-                height,
-                bit_depth,
-                grid,
-                parts: Mutex::new(vec![None; tiles]),
-                remaining: AtomicUsize::new(tiles),
-                failed: Mutex::new(None),
-            });
-            for index in 0..tiles {
-                shared.sched.push_local(worker, Task::DecodeTile { fan: Arc::clone(&fan), index });
-            }
-            Ok(())
-        }
-        Op::CompressVolume => {
-            let Ok(stack) = read_raw_volume(&job.payload) else { return Err(job) };
-            let Ok(grid) = shared.volume_engine.grid(stack.width(), stack.height(), stack.depth())
-            else {
-                return Err(job);
-            };
-            if grid.brick_count() < 2 {
-                return Err(job);
-            }
-            let bricks = grid.brick_count();
-            let fan = Arc::new(VolumeFan {
-                token: job.token,
-                request_id: job.request_id,
-                stack,
-                grid,
-                parts: Mutex::new(vec![None; bricks]),
-                remaining: AtomicUsize::new(bricks),
-                failed: Mutex::new(None),
-            });
-            for index in 0..bricks {
-                shared.sched.push_local(worker, Task::VolumeBrick { fan: Arc::clone(&fan), index });
-            }
-            Ok(())
-        }
-        Op::DecompressVolume => {
-            let Some((engine, header, grid)) = probe_volume(&job.payload) else { return Err(job) };
-            let whole = BrickRect {
-                plane: TileRect { x: 0, y: 0, width: header.width, height: header.height },
-                z: 0,
-                depth: header.depth,
-            };
-            let Some(indices) = grid.covering_indices(whole) else { return Err(job) };
-            if indices.len() < 2
-                || ensure_volume_response_fits(
-                    shared,
-                    header.width,
-                    header.height,
-                    header.depth,
-                    header.bit_depth,
-                )
-                .is_err()
-            {
-                return Err(job);
-            }
-            fan_volume_decode(
-                shared,
-                worker,
-                &job,
-                Op::OkDecompressVolume,
-                job.payload.clone(),
-                engine,
-                header,
-                grid,
-                whole,
-                indices,
-            );
-            Ok(())
-        }
-        Op::DecompressRegion => {
-            let Ok((rect, stream_bytes)) = split_region_request(&job.payload) else {
-                return Err(job);
-            };
-            if is_volume(stream_bytes) {
-                let Some((engine, header, grid)) = probe_volume(stream_bytes) else {
-                    return Err(job);
-                };
-                let Some(indices) = grid.covering_indices(rect) else { return Err(job) };
-                if indices.len() < 2
-                    || ensure_volume_response_fits(
-                        shared,
-                        rect.plane.width,
-                        rect.plane.height,
-                        rect.depth,
-                        header.bit_depth,
-                    )
-                    .is_err()
-                {
-                    return Err(job);
-                }
-                fan_volume_decode(
-                    shared,
-                    worker,
-                    &job,
-                    Op::OkDecompressRegion,
-                    stream_bytes.to_vec(),
-                    engine,
-                    header,
-                    grid,
-                    rect,
-                    indices,
-                );
-                return Ok(());
-            }
-            // 2-D containers: the region must be a single slice.
-            if rect.z != 0 || rect.depth != 1 {
-                return Err(job);
-            }
-            let probe = if is_tiled(stream_bytes) {
-                TiledStream::parse(stream_bytes).ok().and_then(|s| {
-                    let h = *s.header();
-                    s.grid().ok().map(|g| (false, h.bit_depth, g))
-                })
-            } else if is_fixed(stream_bytes) {
-                FixedStream::parse(stream_bytes).ok().and_then(|s| {
-                    let h = *s.header();
-                    s.grid().ok().map(|g| (true, h.bit_depth, g))
-                })
-            } else {
-                None
-            };
-            let Some((fixed, bit_depth, grid)) = probe else { return Err(job) };
-            let Some(indices) = grid.covering_indices(rect.plane) else { return Err(job) };
-            if indices.len() < 2
-                || ensure_response_fits(shared, rect.plane.width, rect.plane.height, bit_depth)
-                    .is_err()
-            {
-                return Err(job);
-            }
-            let slots = indices.len();
-            let fan = Arc::new(RegionFan {
-                token: job.token,
-                request_id: job.request_id,
-                stream: stream_bytes.to_vec(),
-                fixed,
-                rect: rect.plane,
-                bit_depth,
-                grid,
-                indices,
-                parts: Mutex::new(vec![None; slots]),
-                remaining: AtomicUsize::new(slots),
-                failed: Mutex::new(None),
-            });
-            for slot in 0..slots {
-                shared.sched.push_local(worker, Task::RegionTile { fan: Arc::clone(&fan), slot });
-            }
-            Ok(())
-        }
-        _ => Err(job),
-    }
-}
-
-/// Parses an `LWCV` payload into the header-matched single-threaded engine
-/// and the grid; `None` hands the request to the direct path for its typed
-/// error.
-fn probe_volume(bytes: &[u8]) -> Option<(VolumeCompressor, VolumeHeader, BrickGrid)> {
-    if !is_volume(bytes) {
-        return None;
-    }
-    let stream = VolumeStream::parse(bytes).ok()?;
-    let header = *stream.header();
-    let grid = stream.grid().ok()?;
-    let engine = volume_engine_for(&header).ok()?;
-    Some((engine, header, grid))
-}
-
-/// Queues the per-brick decode tasks of a volumetric fan.
-#[allow(clippy::too_many_arguments)]
-fn fan_volume_decode(
-    shared: &Arc<Shared>,
-    worker: usize,
-    job: &Job,
-    respond_op: Op,
-    stream: Vec<u8>,
-    engine: VolumeCompressor,
-    header: VolumeHeader,
-    grid: BrickGrid,
-    rect: BrickRect,
-    indices: Vec<usize>,
-) {
-    let slots = indices.len();
-    let fan = Arc::new(VolumeDecodeFan {
+    let parts = plan.parts;
+    let fan = Arc::new(Fan {
         token: job.token,
         request_id: job.request_id,
-        respond_op,
-        stream,
-        engine,
-        header,
-        grid,
-        rect,
-        indices,
-        parts: Mutex::new(vec![None; slots]),
-        remaining: AtomicUsize::new(slots),
+        respond_op: job.op.response(),
+        cache_key: matches!(job.op, Op::Compress | Op::Decompress).then_some((job.op, payload)),
+        plan,
+        remaining: AtomicUsize::new(parts),
         failed: Mutex::new(None),
     });
-    for slot in 0..slots {
-        shared.sched.push_local(worker, Task::VolumeDecodeBrick { fan: Arc::clone(&fan), slot });
+    if parts == 1 || shared.sched.workers() < 2 {
+        for slot in 0..parts {
+            run_part(shared, &fan, slot);
+        }
+    } else {
+        for slot in 0..parts {
+            shared.sched.push_local(worker, Task::Part { fan: Arc::clone(&fan), slot });
+        }
     }
 }
 
-/// Encodes one tile of a fanned-out compress; the last finisher assembles.
-fn run_compress_tile(shared: &Arc<Shared>, fan: &Arc<CompressFan>, index: usize) {
+/// Runs one part of a fan (skipped once another part has failed); the last
+/// part to finish assembles and responds.
+fn run_part(shared: &Shared, fan: &Fan, slot: usize) {
     if fan.failed.lock().expect("poisoned").is_none() {
-        match shared.engine.encode_tile(&fan.image, &fan.grid, index) {
-            Ok(bytes) => fan.parts.lock().expect("poisoned")[index] = Some(bytes),
-            Err(e) => {
-                let mut failed = fan.failed.lock().expect("poisoned");
-                if failed.is_none() {
-                    *failed = Some((ErrorCode::Internal, format!("compression failed: {e}")));
-                }
-            }
+        if let Err(failure) = (fan.plan.run)(slot) {
+            fan.failed.lock().expect("poisoned").get_or_insert(failure);
         }
     }
     if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finish_compress(shared, fan);
+        finish(shared, fan);
     }
 }
 
-/// Assembles the `LWCT` container from the fanned tile payloads —
-/// byte-identical to the sequential engine, which is built on the same
-/// per-tile encode and container writer.
-fn finish_compress(shared: &Arc<Shared>, fan: &Arc<CompressFan>) {
-    if let Some((code, message)) = fan.failed.lock().expect("poisoned").take() {
-        respond_error(shared, fan.token, fan.request_id, code, &message);
-        return;
-    }
-    let parts = std::mem::take(&mut *fan.parts.lock().expect("poisoned"));
-    let payloads: Vec<Vec<u8>> =
-        parts.into_iter().map(|p| p.expect("every tile encoded")).collect();
-    let outcome = shared
-        .engine
-        .assemble_container(&fan.grid, fan.image.bit_depth(), &payloads)
-        .map_err(|e| (ErrorCode::Internal, format!("compression failed: {e}")))
-        .and_then(|bytes| ensure_frame_fits(shared, bytes));
+/// Replies with the fan's first failure, or assembles, caches and replies
+/// with its response.
+fn finish(shared: &Shared, fan: &Fan) {
+    let failed = fan.failed.lock().expect("poisoned").take();
+    let outcome = match failed {
+        Some(failure) => Err(failure),
+        None => (fan.plan.assemble)().and_then(|payload| ensure_frame_fits(shared, payload)),
+    };
     match outcome {
         Ok(response) => {
-            cache_insert(shared, Op::Compress, &fan.payload, &response);
-            respond_ok(shared, fan.token, Op::OkCompress, fan.request_id, response);
-        }
-        Err((code, message)) => respond_error(shared, fan.token, fan.request_id, code, &message),
-    }
-}
-
-/// Decodes one tile of a fanned-out decompress; the last finisher scatters.
-fn run_decode_tile(shared: &Arc<Shared>, fan: &Arc<DecodeFan>, index: usize) {
-    if fan.failed.lock().expect("poisoned").is_none() {
-        let bad =
-            |e: ServerError| (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"));
-        let result = if fan.fixed {
-            FixedStream::parse(&fan.payload).map_err(|e| bad(e.into())).and_then(|stream| {
-                let engine = fixed_engine(stream.header()).map_err(bad)?;
-                engine.decompress_parsed_tile(&stream, index).map_err(|e| bad(e.into()))
-            })
-        } else {
-            TiledStream::parse(&fan.payload).map_err(|e| bad(e.into())).and_then(|stream| {
-                let engine = tiled_engine(stream.header()).map_err(bad)?;
-                engine.decompress_parsed_tile(&stream, index).map_err(|e| bad(e.into()))
-            })
-        };
-        match result {
-            Ok(tile) => fan.parts.lock().expect("poisoned")[index] = Some(tile),
-            Err(em) => {
-                let mut failed = fan.failed.lock().expect("poisoned");
-                if failed.is_none() {
-                    *failed = Some(em);
-                }
+            if let (Some((op, payload)), Some(cache)) = (&fan.cache_key, &shared.cache) {
+                cache.lock().expect("poisoned").insert(*op, payload.to_vec(), response.clone());
             }
-        }
-    }
-    if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finish_decode(shared, fan);
-    }
-}
-
-/// Scatters the fanned tile images into the output frame and serializes the
-/// PGM response — the same scatter the sequential decompress performs.
-fn finish_decode(shared: &Arc<Shared>, fan: &Arc<DecodeFan>) {
-    if let Some((code, message)) = fan.failed.lock().expect("poisoned").take() {
-        respond_error(shared, fan.token, fan.request_id, code, &message);
-        return;
-    }
-    let parts = std::mem::take(&mut *fan.parts.lock().expect("poisoned"));
-    let internal = |e: String| (ErrorCode::Internal, format!("decompression failed: {e}"));
-    let outcome = Image::zeros(fan.width, fan.height, fan.bit_depth)
-        .map_err(|e| internal(e.to_string()))
-        .and_then(|mut frame| {
-            for (index, tile) in parts.into_iter().enumerate() {
-                let tile = tile.expect("every tile decoded");
-                frame
-                    .view_rect_mut(fan.grid.rect(index))
-                    .and_then(|mut window| window.copy_from_image(&tile))
-                    .map_err(|e| internal(e.to_string()))?;
-            }
-            encode_pgm(&frame)
-        })
-        .and_then(|bytes| ensure_frame_fits(shared, bytes));
-    match outcome {
-        Ok(response) => {
-            cache_insert(shared, Op::Decompress, &fan.payload, &response);
-            respond_ok(shared, fan.token, Op::OkDecompress, fan.request_id, response);
-        }
-        Err((code, message)) => respond_error(shared, fan.token, fan.request_id, code, &message),
-    }
-}
-
-/// Encodes one brick of a fanned-out compress-volume; the last finisher
-/// assembles the `LWCV` container.
-fn run_volume_brick(shared: &Arc<Shared>, fan: &Arc<VolumeFan>, index: usize) {
-    if fan.failed.lock().expect("poisoned").is_none() {
-        match shared.volume_engine.encode_brick(&fan.stack, &fan.grid, index) {
-            Ok(bytes) => fan.parts.lock().expect("poisoned")[index] = Some(bytes),
-            Err(e) => {
-                let mut failed = fan.failed.lock().expect("poisoned");
-                if failed.is_none() {
-                    *failed = Some((ErrorCode::Internal, format!("compression failed: {e}")));
-                }
-            }
-        }
-    }
-    if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finish_volume_compress(shared, fan);
-    }
-}
-
-/// Assembles the `LWCV` container from the fanned brick payloads —
-/// byte-identical to the sequential engine, which is built on the same
-/// per-brick encode and container writer.
-fn finish_volume_compress(shared: &Arc<Shared>, fan: &Arc<VolumeFan>) {
-    if let Some((code, message)) = fan.failed.lock().expect("poisoned").take() {
-        respond_error(shared, fan.token, fan.request_id, code, &message);
-        return;
-    }
-    let parts = std::mem::take(&mut *fan.parts.lock().expect("poisoned"));
-    let payloads: Vec<Vec<u8>> =
-        parts.into_iter().map(|p| p.expect("every brick encoded")).collect();
-    let outcome = shared
-        .volume_engine
-        .assemble_container(&fan.grid, fan.stack.bit_depth(), &payloads)
-        .map_err(|e| (ErrorCode::Internal, format!("compression failed: {e}")))
-        .and_then(|bytes| ensure_frame_fits(shared, bytes));
-    match outcome {
-        Ok(response) => {
-            respond_ok(shared, fan.token, Op::OkCompressVolume, fan.request_id, response);
-        }
-        Err((code, message)) => respond_error(shared, fan.token, fan.request_id, code, &message),
-    }
-}
-
-/// Decodes one brick of a fanned-out volumetric decode (whole volume or
-/// region); the last finisher scatters.
-fn run_volume_decode_brick(shared: &Arc<Shared>, fan: &Arc<VolumeDecodeFan>, slot: usize) {
-    if fan.failed.lock().expect("poisoned").is_none() {
-        let bad = |e: String| (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"));
-        let result =
-            VolumeStream::parse(&fan.stream).map_err(|e| bad(e.to_string())).and_then(|stream| {
-                fan.engine
-                    .decode_brick_samples(&stream, &fan.grid, fan.indices[slot])
-                    .map_err(|e| bad(e.to_string()))
-            });
-        match result {
-            Ok(samples) => fan.parts.lock().expect("poisoned")[slot] = Some(samples),
-            Err(em) => {
-                let mut failed = fan.failed.lock().expect("poisoned");
-                if failed.is_none() {
-                    *failed = Some(em);
-                }
-            }
-        }
-    }
-    if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finish_volume_decode(shared, fan);
-    }
-}
-
-/// Scatters the fanned brick samples into the requested region and
-/// serializes the raw-volume response — the same scatter the sequential
-/// volumetric decode performs.
-fn finish_volume_decode(shared: &Arc<Shared>, fan: &Arc<VolumeDecodeFan>) {
-    if let Some((code, message)) = fan.failed.lock().expect("poisoned").take() {
-        respond_error(shared, fan.token, fan.request_id, code, &message);
-        return;
-    }
-    let parts = std::mem::take(&mut *fan.parts.lock().expect("poisoned"));
-    let internal = |e: String| (ErrorCode::Internal, format!("decompression failed: {e}"));
-    let rect = fan.rect;
-    let mut region = vec![0i32; rect.plane.width * rect.plane.height * rect.depth];
-    for (slot, samples) in parts.into_iter().enumerate() {
-        let samples = samples.expect("every brick decoded");
-        scatter_region(&mut region, rect, fan.grid.rect(fan.indices[slot]), &samples);
-    }
-    let outcome = ImageStack::from_samples(
-        rect.plane.width,
-        rect.plane.height,
-        rect.depth,
-        fan.header.bit_depth,
-        region,
-    )
-    .map_err(|e| internal(e.to_string()))
-    .map(|stack| write_raw_volume(&stack))
-    .and_then(|bytes| ensure_frame_fits(shared, bytes));
-    match outcome {
-        Ok(response) => {
             respond_ok(shared, fan.token, fan.respond_op, fan.request_id, response);
         }
         Err((code, message)) => respond_error(shared, fan.token, fan.request_id, code, &message),
     }
 }
 
-/// Decodes one covering tile of a fanned-out 2-D region request; the last
-/// finisher crops and assembles.
-fn run_region_tile(shared: &Arc<Shared>, fan: &Arc<RegionFan>, slot: usize) {
-    if fan.failed.lock().expect("poisoned").is_none() {
-        let bad =
-            |e: ServerError| (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"));
-        let index = fan.indices[slot];
-        let result = if fan.fixed {
-            FixedStream::parse(&fan.stream).map_err(|e| bad(e.into())).and_then(|stream| {
-                let engine = fixed_engine(stream.header()).map_err(bad)?;
-                engine.decompress_parsed_tile(&stream, index).map_err(|e| bad(e.into()))
-            })
-        } else {
-            TiledStream::parse(&fan.stream).map_err(|e| bad(e.into())).and_then(|stream| {
-                let engine = tiled_engine(stream.header()).map_err(bad)?;
-                engine.decompress_parsed_tile(&stream, index).map_err(|e| bad(e.into()))
-            })
-        };
-        match result {
-            Ok(tile) => fan.parts.lock().expect("poisoned")[slot] = Some(tile),
-            Err(em) => {
-                let mut failed = fan.failed.lock().expect("poisoned");
-                if failed.is_none() {
-                    *failed = Some(em);
-                }
-            }
-        }
-    }
-    if fan.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-        finish_region(shared, fan);
-    }
-}
-
-/// Crops the covering tiles to the requested rectangle, assembles the region
-/// image and serializes the PGM response.
-fn finish_region(shared: &Arc<Shared>, fan: &Arc<RegionFan>) {
-    if let Some((code, message)) = fan.failed.lock().expect("poisoned").take() {
-        respond_error(shared, fan.token, fan.request_id, code, &message);
-        return;
-    }
-    let parts = std::mem::take(&mut *fan.parts.lock().expect("poisoned"));
-    let internal = |e: String| (ErrorCode::Internal, format!("decompression failed: {e}"));
-    let rect = fan.rect;
-    let mut region = vec![0i32; rect.width * rect.height];
-    for (slot, tile) in parts.into_iter().enumerate() {
-        let tile = tile.expect("every tile decoded");
-        copy_tile_into_region(&mut region, rect, fan.grid.rect(fan.indices[slot]), &tile);
-    }
-    let outcome = Image::from_samples(rect.width, rect.height, fan.bit_depth, region)
-        .map_err(|e| internal(e.to_string()))
-        .and_then(|image| encode_pgm(&image))
-        .and_then(|bytes| ensure_frame_fits(shared, bytes));
-    match outcome {
-        Ok(response) => {
-            respond_ok(shared, fan.token, Op::OkDecompressRegion, fan.request_id, response);
-        }
-        Err((code, message)) => respond_error(shared, fan.token, fan.request_id, code, &message),
-    }
-}
-
-/// Copies the intersection of a decoded tile with the requested rectangle
-/// into the region buffer (region-local coordinates). Tiles that miss the
-/// rectangle entirely are a no-op, so callers can scatter any covering set.
-fn copy_tile_into_region(
-    region: &mut [i32],
-    want: TileRect,
-    tile_rect: TileRect,
-    tile: &lwc_image::Image,
-) {
-    let x0 = want.x.max(tile_rect.x);
-    let y0 = want.y.max(tile_rect.y);
-    let x1 = want.right().min(tile_rect.right());
-    let y1 = want.bottom().min(tile_rect.bottom());
-    if x0 >= x1 || y0 >= y1 {
-        return;
-    }
-    for y in y0..y1 {
-        let src_off = (y - tile_rect.y) * tile_rect.width + (x0 - tile_rect.x);
-        let dst_off = (y - want.y) * want.width + (x0 - want.x);
-        let n = x1 - x0;
-        region[dst_off..dst_off + n].copy_from_slice(&tile.samples()[src_off..src_off + n]);
-    }
-}
-
-/// Inserts a successful cacheable response into the hot-response cache.
-fn cache_insert(shared: &Arc<Shared>, op: Op, payload: &[u8], response: &[u8]) {
-    if !matches!(op, Op::Compress | Op::Decompress) {
-        return;
-    }
-    if let Some(cache) = &shared.cache {
-        cache.lock().expect("poisoned").insert(op, payload.to_vec(), response.to_vec());
-    }
-}
-
 /// Queues a success completion and wakes the I/O thread.
-fn respond_ok(shared: &Arc<Shared>, token: usize, op: Op, request_id: u64, payload: Vec<u8>) {
+fn respond_ok(shared: &Shared, token: usize, op: Op, request_id: u64, payload: Vec<u8>) {
     Metrics::bump(&shared.metrics.completed_requests);
     push_completion(shared, token, Frame { op, request_id, payload });
 }
 
 /// Queues an error completion and wakes the I/O thread.
-fn respond_error(
-    shared: &Arc<Shared>,
-    token: usize,
-    request_id: u64,
-    code: ErrorCode,
-    message: &str,
-) {
+fn respond_error(shared: &Shared, token: usize, request_id: u64, code: ErrorCode, message: &str) {
     Metrics::bump(&shared.metrics.error_replies);
     push_completion(shared, token, Frame::error(request_id, code, message));
 }
 
-fn push_completion(shared: &Arc<Shared>, token: usize, frame: Frame) {
+fn push_completion(shared: &Shared, token: usize, frame: Frame) {
     shared.completions.lock().expect("poisoned").push_back(Completion { token, frame });
     let _ = shared.poller.notify();
 }
 
 /// Refuses a response that would exceed the frame limit — the server never
 /// emits a frame it would itself refuse to read.
-fn ensure_frame_fits(shared: &Shared, payload: Vec<u8>) -> Result<Vec<u8>, (ErrorCode, String)> {
+fn ensure_frame_fits(shared: &Shared, payload: Vec<u8>) -> Result<Vec<u8>, Failure> {
     if payload.len() > shared.config.max_payload_bytes {
         return Err((
             ErrorCode::FrameTooLarge,
@@ -1411,152 +852,79 @@ fn ensure_frame_fits(shared: &Shared, payload: Vec<u8>) -> Result<Vec<u8>, (Erro
     Ok(payload)
 }
 
-/// Executes one validated request against the shared engine (the direct,
-/// non-fanned path; also the only path for `decompress-tile`).
-fn execute(shared: &Shared, op: Op, payload: &[u8]) -> Result<Vec<u8>, (ErrorCode, String)> {
+/// Parses and validates a request once into its plan. Every check that can
+/// refuse the request runs here, before any part exists, so a bad request
+/// gets the same typed error whatever the worker count.
+fn plan(shared: &Shared, op: Op, payload: &Arc<Vec<u8>>) -> Result<Plan, Failure> {
     match op {
         Op::Compress => {
-            let image = pgm::read_pgm(payload)
+            let image = pgm::read_pgm(payload.as_slice())
                 .map_err(|e| (ErrorCode::BadPayload, format!("invalid PGM payload: {e}")))?;
-            Codec::compress(&shared.engine, &image)
-                .map_err(|e| (ErrorCode::Internal, format!("compression failed: {e}")))
-        }
-        Op::Decompress => {
-            let bad = |e: ServerError| {
-                (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"))
-            };
-            if is_volume(payload) {
-                return Err((
-                    ErrorCode::BadPayload,
-                    "stream is a volumetric LWCV container: use decompress-volume".to_owned(),
-                ));
-            }
-            // Check the response size from the header dimensions before any
-            // decode work — a stream whose pixels cannot fit one response
-            // frame is refused up front (see `ensure_response_fits`).
-            let image = if is_tiled(payload) {
-                let header = *TiledStream::parse(payload).map_err(|e| bad(e.into()))?.header();
-                ensure_response_fits(shared, header.width, header.height, header.bit_depth)?;
-                let engine = tiled_engine(&header).map_err(bad)?;
-                Codec::decompress(&engine, payload).map_err(|e| bad(e.into()))?
-            } else if is_fixed(payload) {
-                let header = *FixedStream::parse(payload).map_err(|e| bad(e.into()))?.header();
-                ensure_response_fits(shared, header.width, header.height, header.bit_depth)?;
-                let engine = fixed_engine(&header).map_err(bad)?;
-                Codec::decompress(&engine, payload).map_err(|e| bad(e.into()))?
-            } else {
-                let header =
-                    StreamHeader::read(&mut BitReader::new(payload)).map_err(|e| bad(e.into()))?;
-                ensure_response_fits(shared, header.width, header.height, header.bit_depth)?;
-                decompress_auto(payload).map_err(bad)?
-            };
-            encode_pgm(&image)
-        }
-        Op::DecompressTile => {
-            let (index, stream_bytes) = split_tile_request(payload)?;
-            let bad = |e: ServerError| {
-                (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"))
-            };
-            if is_volume(stream_bytes) {
-                return Err((
-                    ErrorCode::BadPayload,
-                    "stream is a volumetric LWCV container: use decompress-region".to_owned(),
-                ));
-            }
-            // One container parse serves the range check, the size check,
-            // the engine parameters and the tile decode.
-            let tile = if is_tiled(stream_bytes) {
-                let stream = TiledStream::parse(stream_bytes).map_err(|e| bad(e.into()))?;
-                let tiles = stream.tile_count();
-                if index as usize >= tiles {
-                    return Err((
-                        ErrorCode::TileIndexOutOfRange,
-                        format!("tile index {index} out of range: the stream has {tiles} tiles"),
-                    ));
-                }
-                let header = *stream.header();
-                let rect = stream.grid().map_err(|e| bad(e.into()))?.rect(index as usize);
-                ensure_response_fits(shared, rect.width, rect.height, header.bit_depth)?;
-                let engine = tiled_engine(&header).map_err(bad)?;
-                engine.decompress_parsed_tile(&stream, index as usize).map_err(|e| bad(e.into()))?
-            } else if is_fixed(stream_bytes) {
-                let stream = FixedStream::parse(stream_bytes).map_err(|e| bad(e.into()))?;
-                let tiles = stream.tile_count();
-                if index as usize >= tiles {
-                    return Err((
-                        ErrorCode::TileIndexOutOfRange,
-                        format!("tile index {index} out of range: the stream has {tiles} tiles"),
-                    ));
-                }
-                let header = *stream.header();
-                let rect = stream.grid().map_err(|e| bad(e.into()))?.rect(index as usize);
-                ensure_response_fits(shared, rect.width, rect.height, header.bit_depth)?;
-                let engine = fixed_engine(&header).map_err(bad)?;
-                engine.decompress_parsed_tile(&stream, index as usize).map_err(|e| bad(e.into()))?
-            } else {
-                if index != 0 {
-                    return Err((
-                        ErrorCode::TileIndexOutOfRange,
-                        format!(
-                            "tile index {index} out of range: a legacy stream is a single tile"
-                        ),
-                    ));
-                }
-                let header = StreamHeader::read(&mut BitReader::new(stream_bytes))
-                    .map_err(|e| bad(e.into()))?;
-                ensure_response_fits(shared, header.width, header.height, header.bit_depth)?;
-                decompress_auto(stream_bytes).map_err(bad)?
-            };
-            encode_pgm(&tile)
+            let engine = shared.engine;
+            let grid = engine.grid(image.width(), image.height()).map_err(compress_failed)?;
+            let bit_depth = image.bit_depth();
+            Ok(Plan::new(
+                grid.tile_count(),
+                move |index| engine.encode_tile(&image, &grid, index).map_err(compress_failed),
+                move |mut payloads| {
+                    if grid.is_single() {
+                        // One tile is the legacy stream itself, exactly as
+                        // `TiledCompressor::compress` emits it.
+                        return Ok(payloads.swap_remove(0));
+                    }
+                    engine.assemble_container(&grid, bit_depth, &payloads).map_err(compress_failed)
+                },
+            ))
         }
         Op::CompressVolume => {
             let stack = read_raw_volume(payload)
                 .map_err(|e| (ErrorCode::BadPayload, format!("invalid raw volume payload: {e}")))?;
-            shared
-                .volume_engine
-                .compress_stack(&stack)
-                .map_err(|e| (ErrorCode::Internal, format!("compression failed: {e}")))
+            let engine = shared.volume_engine;
+            let grid = engine
+                .grid(stack.width(), stack.height(), stack.depth())
+                .map_err(compress_failed)?;
+            let bit_depth = stack.bit_depth();
+            Ok(Plan::new(
+                grid.brick_count(),
+                move |index| engine.encode_brick(&stack, &grid, index).map_err(compress_failed),
+                move |payloads| {
+                    engine.assemble_container(&grid, bit_depth, &payloads).map_err(compress_failed)
+                },
+            ))
+        }
+        Op::Decompress => {
+            refuse_volume(payload, "decompress-volume")?;
+            let stream = sniff_2d(payload).map_err(bad_stream)?;
+            let (width, height) = (stream.grid.image_width(), stream.grid.image_height());
+            let indices = (0..stream.grid.tile_count()).collect();
+            let whole = TileRect { x: 0, y: 0, width, height };
+            plan_2d_decode(shared, stream, payload, 0, whole, indices)
+        }
+        Op::DecompressTile => {
+            let (index, bytes) = split_tile_request(payload)?;
+            refuse_volume(bytes, "decompress-region")?;
+            let stream = sniff_2d(bytes).map_err(bad_stream)?;
+            let tiles = stream.grid.tile_count();
+            let index = index as usize;
+            if index >= tiles {
+                return Err((
+                    ErrorCode::TileIndexOutOfRange,
+                    format!("tile index {index} out of range: the stream has {tiles} tile(s)"),
+                ));
+            }
+            let rect = stream.grid.rect(index);
+            plan_2d_decode(shared, stream, payload, TILE_PREFIX_BYTES, rect, vec![index])
         }
         Op::DecompressVolume => {
-            let bad =
-                |e: String| (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"));
             if !is_volume(payload) {
-                return Err(bad("not an LWCV container".to_owned()));
+                return Err(bad_stream("not an LWCV container"));
             }
-            // Check the response size from the header dimensions before any
-            // decode work, exactly as the 2-D path does.
-            let stream = VolumeStream::parse(payload).map_err(|e| bad(e.to_string()))?;
-            let header = *stream.header();
-            ensure_volume_response_fits(
-                shared,
-                header.width,
-                header.height,
-                header.depth,
-                header.bit_depth,
-            )?;
-            let engine = volume_engine_for(&header).map_err(|e| bad(e.to_string()))?;
-            let stack = engine.decompress_stack(payload).map_err(|e| bad(e.to_string()))?;
-            Ok(write_raw_volume(&stack))
+            plan_volume_decode(shared, payload, 0, None)
         }
         Op::DecompressRegion => {
-            let (rect, stream_bytes) = split_region_request(payload)?;
-            if is_volume(stream_bytes) {
-                let bad =
-                    |e: String| (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"));
-                let stream = VolumeStream::parse(stream_bytes).map_err(|e| bad(e.to_string()))?;
-                let header = *stream.header();
-                ensure_volume_response_fits(
-                    shared,
-                    rect.plane.width,
-                    rect.plane.height,
-                    rect.depth,
-                    header.bit_depth,
-                )?;
-                let engine = volume_engine_for(&header).map_err(|e| bad(e.to_string()))?;
-                let stack = engine
-                    .decompress_region(stream_bytes, rect)
-                    .map_err(|e| (ErrorCode::BadPayload, format!("region decode failed: {e}")))?;
-                return Ok(write_raw_volume(&stack));
+            let (rect, bytes) = split_region_request(payload)?;
+            if is_volume(bytes) {
+                return plan_volume_decode(shared, payload, REGION_PREFIX_BYTES, Some(rect));
             }
             if rect.z != 0 || rect.depth != 1 {
                 return Err((
@@ -1568,82 +936,191 @@ fn execute(shared: &Shared, op: Op, payload: &[u8]) -> Result<Vec<u8>, (ErrorCod
                     ),
                 ));
             }
-            let image = decompress_region_2d(shared, rect.plane, stream_bytes)?;
-            encode_pgm(&image)
+            let stream = sniff_2d(bytes).map_err(bad_stream)?;
+            let want = rect.plane;
+            let indices = stream.grid.covering_indices(want).ok_or_else(|| {
+                (
+                    ErrorCode::BadPayload,
+                    format!(
+                        "region out of bounds: {}x{} at ({}, {}) exceeds the {}x{} image",
+                        want.width,
+                        want.height,
+                        want.x,
+                        want.y,
+                        stream.grid.image_width(),
+                        stream.grid.image_height()
+                    ),
+                )
+            })?;
+            plan_2d_decode(shared, stream, payload, REGION_PREFIX_BYTES, want, indices)
         }
-        Op::Stats => Ok(shared.stats().to_json().into_bytes()),
         other => Err((ErrorCode::UnknownOp, format!("{other:?} is not a request op"))),
     }
 }
 
-/// Decodes the minimal covering tile set of a 2-D region request
-/// sequentially and crops it to the rectangle (the direct, non-fanned
-/// region path; also the only 2-D region path for legacy `LWC1` streams,
-/// which are a single tile).
-fn decompress_region_2d(
-    shared: &Shared,
-    rect: TileRect,
-    stream_bytes: &[u8],
-) -> Result<lwc_image::Image, (ErrorCode, String)> {
-    let bad = |e: ServerError| (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"));
-    let region_err = |w: usize, h: usize| {
-        (
-            ErrorCode::BadPayload,
-            format!(
-                "region out of bounds: {}x{} at ({}, {}) exceeds the {w}x{h} image",
-                rect.width, rect.height, rect.x, rect.y
-            ),
-        )
-    };
-    let (bit_depth, grid, indices) = if is_tiled(stream_bytes) {
-        let stream = TiledStream::parse(stream_bytes).map_err(|e| bad(e.into()))?;
-        let header = *stream.header();
-        let grid = stream.grid().map_err(|e| bad(e.into()))?;
-        let indices =
-            grid.covering_indices(rect).ok_or_else(|| region_err(header.width, header.height))?;
-        (header.bit_depth, grid, indices)
-    } else if is_fixed(stream_bytes) {
-        let stream = FixedStream::parse(stream_bytes).map_err(|e| bad(e.into()))?;
-        let header = *stream.header();
-        let grid = stream.grid().map_err(|e| bad(e.into()))?;
-        let indices =
-            grid.covering_indices(rect).ok_or_else(|| region_err(header.width, header.height))?;
-        (header.bit_depth, grid, indices)
-    } else {
-        // A legacy LWC1 stream is a single tile covering the whole image.
-        let header =
-            StreamHeader::read(&mut BitReader::new(stream_bytes)).map_err(|e| bad(e.into()))?;
-        let grid = TileGrid::new(header.width, header.height, header.width, header.height)
-            .map_err(|e| bad(e.into()))?;
-        let indices =
-            grid.covering_indices(rect).ok_or_else(|| region_err(header.width, header.height))?;
-        (header.bit_depth, grid, indices)
-    };
-    ensure_response_fits(shared, rect.width, rect.height, bit_depth)?;
-    let mut region = vec![0i32; rect.width * rect.height];
-    for index in indices {
-        let tile = if is_tiled(stream_bytes) || is_fixed(stream_bytes) {
-            decompress_tile_auto(stream_bytes, index).map_err(bad)?
-        } else {
-            decompress_auto(stream_bytes).map_err(bad)?
-        };
-        copy_tile_into_region(&mut region, rect, grid.rect(index), &tile);
-    }
-    Image::from_samples(rect.width, rect.height, bit_depth, region)
-        .map_err(|e| (ErrorCode::Internal, format!("decompression failed: {e}")))
+fn compress_failed(e: impl std::fmt::Display) -> Failure {
+    (ErrorCode::Internal, format!("compression failed: {e}"))
 }
 
-/// Decodes one tile of a tiled or fixed container, header-driven.
-fn decompress_tile_auto(bytes: &[u8], index: usize) -> Result<lwc_image::Image, ServerError> {
-    if is_fixed(bytes) {
-        let stream = FixedStream::parse(bytes)?;
-        let engine = fixed_engine(stream.header())?;
-        Ok(engine.decompress_parsed_tile(&stream, index)?)
-    } else {
-        let stream = TiledStream::parse(bytes)?;
-        let engine = tiled_engine(stream.header())?;
-        Ok(engine.decompress_parsed_tile(&stream, index)?)
+fn bad_stream(e: impl std::fmt::Display) -> Failure {
+    (ErrorCode::BadPayload, format!("invalid compressed payload: {e}"))
+}
+
+/// Refuses an `LWCV` stream sent to a 2-D op, naming the op that reads it.
+fn refuse_volume(bytes: &[u8], use_op: &str) -> Result<(), Failure> {
+    if is_volume(bytes) {
+        return Err((
+            ErrorCode::BadPayload,
+            format!("stream is a volumetric LWCV container: use {use_op}"),
+        ));
     }
+    Ok(())
+}
+
+/// A 2-D stream as its header describes it.
+struct Stream2d {
+    /// The single-threaded engine matching the stream's parameters.
+    engine: Box<dyn Codec>,
+    bit_depth: u32,
+    /// The tile grid; its image size is the stream's geometry.
+    grid: TileGrid,
+}
+
+/// The one container sniff behind the 2-D decode ops: `LWCT`, `LWCF`, or a
+/// legacy `LWC1`/`LWCQ` stream as a one-tile grid. Decompression follows the
+/// stream's own parameters (scales, tile shape, filter bank), never the
+/// server's. Every header read rejects empty or truncated buffers with a
+/// typed error, so sniffing never slices out of bounds. The `LWCT` engine's
+/// codec is lossless; near-lossless streams decode correctly anyway because
+/// each tile's stream header carries its quantizer, cross-checked against
+/// the container's delta.
+fn sniff_2d(bytes: &[u8]) -> Result<Stream2d, ServerError> {
+    if is_tiled(bytes) {
+        let stream = TiledStream::parse(bytes)?;
+        let header = stream.header();
+        let codec = LosslessCodec::new(header.scales)?;
+        let engine = TiledCompressor::with_codec(codec, header.tile_width, header.tile_height, 1)?;
+        Ok(Stream2d { engine: Box::new(engine), bit_depth: header.bit_depth, grid: stream.grid()? })
+    } else if is_fixed(bytes) {
+        let stream = FixedStream::parse(bytes)?;
+        let engine = TiledFixedCompressor::for_stream(stream.header(), 1)?;
+        let bit_depth = stream.header().bit_depth;
+        Ok(Stream2d { engine: Box::new(engine), bit_depth, grid: stream.grid()? })
+    } else {
+        let header = StreamHeader::read(&mut BitReader::new(bytes))?;
+        let codec = LosslessCodec::new(header.scales)?;
+        let engine = TiledCompressor::with_codec(codec, header.width, header.height, 1)?;
+        let grid = TileGrid::single(header.width, header.height)?;
+        Ok(Stream2d { engine: Box::new(engine), bit_depth: header.bit_depth, grid })
+    }
+}
+
+/// Plans the decode of rectangle `want` of the 2-D stream at `offset` in
+/// `payload`: one part per covering tile in `indices`, a PGM response.
+fn plan_2d_decode(
+    shared: &Shared,
+    stream: Stream2d,
+    payload: &Arc<Vec<u8>>,
+    offset: usize,
+    want: TileRect,
+    indices: Vec<usize>,
+) -> Result<Plan, Failure> {
+    ensure_response_fits(shared, want.width, want.height, stream.bit_depth)?;
+    let Stream2d { engine, bit_depth, grid } = stream;
+    let slice_box = |plane| BrickRect { plane, z: 0, depth: 1 };
+    let boxes = indices.iter().map(|&index| slice_box(grid.rect(index))).collect();
+    let payload = Arc::clone(payload);
+    Ok(decode_plan(
+        slice_box(want),
+        boxes,
+        move |slot| {
+            let tile = engine.decompress_tile(&payload[offset..], indices[slot]);
+            tile.map(Image::into_samples).map_err(bad_stream)
+        },
+        move |samples| {
+            encode_pgm(
+                &Image::from_samples(want.width, want.height, bit_depth, samples)
+                    .map_err(bad_stream)?,
+            )
+        },
+    ))
+}
+
+/// Plans the decode of box `want` (`None`: the whole volume) of the `LWCV`
+/// stream at `offset` in `payload`: one part per covering brick, a
+/// raw-volume response.
+fn plan_volume_decode(
+    shared: &Shared,
+    payload: &Arc<Vec<u8>>,
+    offset: usize,
+    want: Option<BrickRect>,
+) -> Result<Plan, Failure> {
+    let stream = VolumeStream::parse(&payload[offset..]).map_err(bad_stream)?;
+    let header = *stream.header();
+    let want = want.unwrap_or(BrickRect {
+        plane: TileRect { x: 0, y: 0, width: header.width, height: header.height },
+        z: 0,
+        depth: header.depth,
+    });
+    ensure_volume_response_fits(
+        shared,
+        want.plane.width,
+        want.plane.height,
+        want.depth,
+        header.bit_depth,
+    )?;
+    let engine = volume_engine_for(&header).map_err(bad_stream)?;
+    let grid = stream.grid().map_err(bad_stream)?;
+    let indices = grid.covering_indices(want).ok_or_else(|| {
+        bad_stream(format!(
+            "region ({}, {}, {}) {}x{}x{} does not fit the {}x{}x{} volume",
+            want.plane.x,
+            want.plane.y,
+            want.z,
+            want.plane.width,
+            want.plane.height,
+            want.depth,
+            header.width,
+            header.height,
+            header.depth
+        ))
+    })?;
+    let boxes = indices.iter().map(|&index| grid.rect(index)).collect();
+    let payload = Arc::clone(payload);
+    Ok(decode_plan(
+        want,
+        boxes,
+        move |slot| {
+            let stream = VolumeStream::parse(&payload[offset..]).map_err(bad_stream)?;
+            engine.decode_brick_samples(&stream, &grid, indices[slot]).map_err(bad_stream)
+        },
+        move |samples| {
+            let (width, height, depth) = (want.plane.width, want.plane.height, want.depth);
+            let stack = ImageStack::from_samples(width, height, depth, header.bit_depth, samples)
+                .map_err(bad_stream)?;
+            Ok(write_raw_volume(&stack))
+        },
+    ))
+}
+
+/// A decode plan: part `slot` decodes the samples of `boxes[slot]`, and the
+/// assembly scatters every part into the requested box `want` (a 2-D tile
+/// is a depth-1 box) and serializes the result.
+fn decode_plan(
+    want: BrickRect,
+    boxes: Vec<BrickRect>,
+    decode: impl Fn(usize) -> Result<Vec<i32>, Failure> + Send + Sync + 'static,
+    serialize: impl Fn(Vec<i32>) -> Result<Vec<u8>, Failure> + Send + Sync + 'static,
+) -> Plan {
+    Plan::new(boxes.len(), decode, move |parts| {
+        let mut region = vec![0i32; want.voxel_count()];
+        // Consuming the parts frees each one once it is placed, so the
+        // serialized response never coexists with every decoded part.
+        for (samples, &part) in parts.into_iter().zip(&boxes) {
+            scatter_region(&mut region, want, part, &samples);
+        }
+        serialize(region)
+    })
 }
 
 /// Refuses a decompression whose PGM response could not fit one frame under
@@ -1656,7 +1133,7 @@ fn ensure_response_fits(
     width: usize,
     height: usize,
     bit_depth: u32,
-) -> Result<(), (ErrorCode, String)> {
+) -> Result<(), Failure> {
     let per_sample: u128 = if bit_depth > 8 { 2 } else { 1 };
     let need = width as u128 * height as u128 * per_sample + 64;
     if need > shared.config.max_payload_bytes as u128 {
@@ -1672,45 +1149,28 @@ fn ensure_response_fits(
     Ok(())
 }
 
-fn encode_pgm(image: &lwc_image::Image) -> Result<Vec<u8>, (ErrorCode, String)> {
+fn encode_pgm(image: &Image) -> Result<Vec<u8>, Failure> {
     let mut bytes = Vec::with_capacity(image.pixel_count() * 2 + 64);
     pgm::write_pgm(image, &mut bytes)
         .map_err(|e| (ErrorCode::Internal, format!("PGM serialization failed: {e}")))?;
     Ok(bytes)
 }
 
-fn split_tile_request(payload: &[u8]) -> Result<(u32, &[u8]), (ErrorCode, String)> {
-    let index_bytes: [u8; 4] =
-        payload.get(..4).and_then(|b| b.try_into().ok()).ok_or_else(|| {
+/// Length of the `decompress-tile` prefix: one `u32` big-endian tile index.
+const TILE_PREFIX_BYTES: usize = 4;
+
+/// Length of the `decompress-region` prefix: six `u32` big-endian fields.
+const REGION_PREFIX_BYTES: usize = 24;
+
+fn split_tile_request(payload: &[u8]) -> Result<(u32, &[u8]), Failure> {
+    let index_bytes: [u8; TILE_PREFIX_BYTES] =
+        payload.get(..TILE_PREFIX_BYTES).and_then(|b| b.try_into().ok()).ok_or_else(|| {
             (
                 ErrorCode::BadPayload,
                 "decompress-tile payload must start with a 4-byte tile index".to_owned(),
             )
         })?;
-    Ok((u32::from_be_bytes(index_bytes), &payload[4..]))
-}
-
-/// Decompresses any container format the service knows (`LWC1`, `LWCT`,
-/// `LWCF`), taking the decomposition depth (and tile shape, and for `LWCF`
-/// the filter bank) from the stream itself — the service never requires
-/// clients to know how a stream was produced.
-pub(crate) fn decompress_auto(bytes: &[u8]) -> Result<lwc_image::Image, ServerError> {
-    Ok(engine_for(bytes)?.decompress(bytes)?)
-}
-
-/// Single-threaded engine with the parameters of a parsed tiled header.
-/// The engine codec is lossless; near-lossless streams decode correctly
-/// anyway because the quantizer is honored from the per-tile stream headers
-/// and cross-checked against the container's delta field.
-fn tiled_engine(header: &TiledHeader) -> Result<TiledCompressor, ServerError> {
-    let codec = LosslessCodec::new(header.scales)?;
-    Ok(TiledCompressor::with_codec(codec, header.tile_width, header.tile_height, 1)?)
-}
-
-/// Single-threaded fixed-path engine with the parameters of a parsed `LWCF`
-/// header.
-fn fixed_engine(header: &FixedHeader) -> Result<TiledFixedCompressor, ServerError> {
-    Ok(TiledFixedCompressor::for_stream(header, 1)?)
+    Ok((u32::from_be_bytes(index_bytes), &payload[TILE_PREFIX_BYTES..]))
 }
 
 /// Single-threaded volumetric engine with the parameters of a parsed `LWCV`
@@ -1738,7 +1198,7 @@ fn ensure_volume_response_fits(
     height: usize,
     depth: usize,
     bit_depth: u32,
-) -> Result<(), (ErrorCode, String)> {
+) -> Result<(), Failure> {
     let need = raw_volume_len(width, height, depth, bit_depth);
     if need > shared.config.max_payload_bytes as u128 {
         return Err((
@@ -1757,15 +1217,16 @@ fn ensure_volume_response_fits(
 /// Splits a `decompress-region` payload into the requested rectangle and the
 /// compressed stream. The 24-byte prefix is six `u32` big-endian fields:
 /// x, y, z, width, height, depth.
-fn split_region_request(payload: &[u8]) -> Result<(BrickRect, &[u8]), (ErrorCode, String)> {
-    let prefix: &[u8; 24] = payload.get(..24).and_then(|b| b.try_into().ok()).ok_or_else(|| {
-        (
-            ErrorCode::BadPayload,
-            "decompress-region payload must start with a 24-byte rectangle \
-             (six u32 BE: x, y, z, width, height, depth)"
-                .to_owned(),
-        )
-    })?;
+fn split_region_request(payload: &[u8]) -> Result<(BrickRect, &[u8]), Failure> {
+    let prefix: &[u8; REGION_PREFIX_BYTES] =
+        payload.get(..REGION_PREFIX_BYTES).and_then(|b| b.try_into().ok()).ok_or_else(|| {
+            (
+                ErrorCode::BadPayload,
+                "decompress-region payload must start with a 24-byte rectangle \
+                 (six u32 BE: x, y, z, width, height, depth)"
+                    .to_owned(),
+            )
+        })?;
     let word = |i: usize| {
         u32::from_be_bytes(prefix[4 * i..4 * i + 4].try_into().expect("4 bytes")) as usize
     };
@@ -1783,31 +1244,16 @@ fn split_region_request(payload: &[u8]) -> Result<(BrickRect, &[u8]), (ErrorCode
             ),
         ));
     }
-    Ok((rect, &payload[24..]))
-}
-
-/// Builds a single-threaded [`Codec`] matching the stream's own parameters —
-/// the three-way magic sniff (`LWC1` / `LWCT` / `LWCF`) behind the
-/// decompression ops. All header reads reject empty/truncated buffers with
-/// typed errors, so sniffing never slices out of bounds.
-fn engine_for(bytes: &[u8]) -> Result<Box<dyn Codec>, ServerError> {
-    if is_tiled(bytes) {
-        Ok(Box::new(tiled_engine(TiledStream::parse(bytes)?.header())?))
-    } else if is_fixed(bytes) {
-        Ok(Box::new(fixed_engine(FixedStream::parse(bytes)?.header())?))
-    } else {
-        let header = StreamHeader::read(&mut BitReader::new(bytes))?;
-        let codec = LosslessCodec::new(header.scales)?;
-        Ok(Box::new(TiledCompressor::with_codec(codec, header.width, header.height, 1)?))
-    }
+    Ok((rect, &payload[REGION_PREFIX_BYTES..]))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lwc_coder::FixedHeader;
     use lwc_image::synth;
 
-    fn fixed_stream(image: &lwc_image::Image) -> Vec<u8> {
+    fn fixed_stream(image: &Image) -> Vec<u8> {
         // The server crate has no lwc-filters dependency by design; a
         // header-driven engine (the same path the sniff uses) builds the
         // stream.
@@ -1823,26 +1269,39 @@ mod tests {
         TiledFixedCompressor::for_stream(&header, 1).unwrap().compress(image).unwrap()
     }
 
+    /// Serves one `decompress` request without sockets: plan it, run every
+    /// part in order, assemble.
+    fn decompress(shared: &Shared, stream: &[u8]) -> Result<Image, Failure> {
+        let plan = plan(shared, Op::Decompress, &Arc::new(stream.to_vec()))?;
+        for slot in 0..plan.parts {
+            (plan.run)(slot)?;
+        }
+        Ok(pgm::read_pgm((plan.assemble)()?.as_slice()).unwrap())
+    }
+
     #[test]
     fn decompress_auto_sniffs_all_three_formats_and_rejects_short_buffers() {
+        let shared = Shared::new(ServerConfig { workers: 1, ..ServerConfig::default() }).unwrap();
         let image = synth::ct_phantom(70, 50, 12, 3);
         let legacy = LosslessCodec::new(3).unwrap().compress(&image).unwrap();
         let tiled = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
         let fixed = fixed_stream(&synth::ct_phantom(64, 48, 12, 3));
         assert!(is_tiled(&tiled) && !is_tiled(&legacy) && is_fixed(&fixed));
         for stream in [&legacy, &tiled] {
-            let back = decompress_auto(stream).unwrap();
+            let back = decompress(&shared, stream).unwrap();
             assert_eq!(back.samples(), image.samples());
             // Every short prefix — including the empty buffer — must come
             // back as a typed error, never a panic or slice failure.
             for len in 0..8.min(stream.len()) {
-                assert!(decompress_auto(&stream[..len]).is_err(), "prefix of {len} bytes");
+                let err = decompress(&shared, &stream[..len]).unwrap_err();
+                assert_eq!(err.0, ErrorCode::BadPayload, "prefix of {len} bytes");
             }
         }
-        let back = decompress_auto(&fixed).unwrap();
+        let back = decompress(&shared, &fixed).unwrap();
         assert_eq!(back.samples(), synth::ct_phantom(64, 48, 12, 3).samples());
         for len in 0..8 {
-            assert!(decompress_auto(&fixed[..len]).is_err(), "fixed prefix of {len} bytes");
+            let err = decompress(&shared, &fixed[..len]).unwrap_err();
+            assert_eq!(err.0, ErrorCode::BadPayload, "fixed prefix of {len} bytes");
         }
     }
 
@@ -1852,12 +1311,17 @@ mod tests {
         let legacy = LosslessCodec::new(3).unwrap().compress(&image).unwrap();
         let tiled = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
         let fixed = fixed_stream(&synth::ct_phantom(64, 48, 12, 5));
-        assert_eq!(engine_for(&legacy).unwrap().name(), "tiled");
-        assert_eq!(engine_for(&tiled).unwrap().name(), "tiled");
-        let sniffed = engine_for(&fixed).unwrap();
-        assert_eq!(sniffed.name(), "tiled-fixed");
-        assert!(sniffed.capabilities().fixed_point);
-        assert!(engine_for(&[]).is_err());
-        assert!(engine_for(&[0x4C, 0x57]).is_err());
+        let sniffed = sniff_2d(&legacy).unwrap();
+        assert_eq!(sniffed.engine.name(), "tiled");
+        assert_eq!((sniffed.grid.tile_count(), sniffed.grid.image_width()), (1, 70));
+        let sniffed = sniff_2d(&tiled).unwrap();
+        assert_eq!(sniffed.engine.name(), "tiled");
+        assert_eq!((sniffed.grid.tile_count(), sniffed.grid.image_height()), (6, 50));
+        let sniffed = sniff_2d(&fixed).unwrap();
+        assert_eq!(sniffed.engine.name(), "tiled-fixed");
+        assert!(sniffed.engine.capabilities().fixed_point);
+        assert_eq!((sniffed.grid.tile_count(), sniffed.bit_depth), (4, 12));
+        assert!(sniff_2d(&[]).is_err());
+        assert!(sniff_2d(&[0x4C, 0x57]).is_err());
     }
 }

@@ -6,7 +6,10 @@
 //! * pipelined multi-request submission completes every request,
 //! * malformed payloads, short sniff buffers, unknown ops, oversized frames
 //!   and bad magic all come back as typed errors (or a closed connection for
-//!   unrecoverable framing), never hangs or panics,
+//!   unrecoverable framing), never hangs or panics, and each class of bad
+//!   request gets one error code at 1, 2 and 4 workers,
+//! * region reads crop LWCT, LWC1, LWCF and LWCV streams at every worker
+//!   count,
 //! * an exhausted in-flight budget — global or per-connection — answers
 //!   `busy` rather than buffering unboundedly,
 //! * the optional response cache answers repeats byte-identically (and a
@@ -396,53 +399,201 @@ fn volume_ops_roundtrip_across_worker_counts_with_identical_bytes() {
     }
 }
 
+/// Asserts that a served 2-D region equals the source crop pixel for pixel.
+fn assert_region_matches(region: &Image, image: &Image, x0: usize, y0: usize, what: &str) {
+    for y in 0..region.height() {
+        for x in 0..region.width() {
+            assert_eq!(region.get(x, y), image.get(x0 + x, y0 + y), "{what}: pixel ({x}, {y})");
+        }
+    }
+}
+
 #[test]
 fn region_ops_serve_crops_of_both_2d_and_volume_streams() {
-    let server = test_server(2, 8);
-    let mut client = Client::connect(server.local_addr()).expect("connect");
-
-    // 2-D region: a rectangle straddling tile boundaries of an LWCT stream
-    // (test_server uses 32-pixel tiles) comes back equal to the source crop.
+    // Every 2-D container the server reads — LWCT from its own compress, a
+    // legacy LWC1 stream (the image fits one 32-pixel tile) and a locally
+    // made LWCF stream — serves crops at 1, 2 and 4 workers, as does LWCV.
     let image = synth::ct_phantom(80, 60, 12, 3);
-    let stream = client.compress_image(&image).expect("compress");
-    let region = client.decompress_region_image(&stream, 17, 9, 50, 40).expect("region");
-    for y in 0..40 {
-        for x in 0..50 {
-            assert_eq!(region.get(x, y), image.get(17 + x, 9 + y), "pixel ({x}, {y})");
-        }
-    }
-
-    // Volumetric region: a cuboid straddling brick boundaries of an LWCV
-    // stream equals the source crop voxel for voxel.
+    let small = synth::ct_phantom(30, 28, 12, 4);
+    let fixed_image = synth::random_image(64, 64, 12, 13);
+    let bank = FilterBank::table1(FilterId::F2);
+    let fixed_stream =
+        TiledFixedCompressor::new(&bank, 3, 32, 1).unwrap().compress(&fixed_image).unwrap();
     let stack = synth::ct_volume(48, 40, 12, 12, 8);
-    let vstream = client.compress_volume(&stack).expect("compress-volume");
-    let rect = BrickRect { plane: TileRect { x: 11, y: 7, width: 30, height: 25 }, z: 5, depth: 6 };
-    let crop = client.decompress_region_volume(&vstream, rect).expect("volume region");
-    for z in 0..rect.depth {
-        let want = stack.slice(rect.z + z).expect("source slice");
-        let got = crop.slice(z).expect("crop slice");
-        for y in 0..rect.plane.height {
-            for x in 0..rect.plane.width {
-                assert_eq!(
-                    got.get(x, y),
-                    want.get(rect.plane.x + x, rect.plane.y + y),
-                    "voxel ({x}, {y}, {z})"
-                );
+    for workers in [1usize, 2, 4] {
+        let server = test_server(workers, 8);
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+
+        // 2-D region: a rectangle straddling tile boundaries of an LWCT
+        // stream comes back equal to the source crop, and so does one that
+        // sits inside a single tile.
+        let stream = client.compress_image(&image).expect("compress");
+        let region = client.decompress_region_image(&stream, 17, 9, 50, 40).expect("region");
+        assert_region_matches(&region, &image, 17, 9, &format!("LWCT, {workers} workers"));
+        let inner = client.decompress_region_image(&stream, 33, 2, 20, 20).expect("one tile");
+        assert_region_matches(&inner, &image, 33, 2, &format!("LWCT tile, {workers} workers"));
+
+        // A legacy single-tile stream is one tile covering the image.
+        let legacy = client.compress_image(&small).expect("compress small");
+        assert_eq!(&legacy[..4], b"LWC1", "an image within one tile stays legacy");
+        let region = client.decompress_region_image(&legacy, 5, 3, 20, 22).expect("LWC1 region");
+        assert_region_matches(&region, &small, 5, 3, &format!("LWC1, {workers} workers"));
+
+        // The paper-exact fixed-point container serves regions too.
+        let region =
+            client.decompress_region_image(&fixed_stream, 20, 25, 30, 30).expect("LWCF region");
+        assert_region_matches(&region, &fixed_image, 20, 25, &format!("LWCF, {workers} workers"));
+
+        // Volumetric region: a cuboid straddling brick boundaries of an LWCV
+        // stream equals the source crop voxel for voxel.
+        let vstream = client.compress_volume(&stack).expect("compress-volume");
+        let rect =
+            BrickRect { plane: TileRect { x: 11, y: 7, width: 30, height: 25 }, z: 5, depth: 6 };
+        let crop = client.decompress_region_volume(&vstream, rect).expect("volume region");
+        for z in 0..rect.depth {
+            let want = stack.slice(rect.z + z).expect("source slice");
+            let got = crop.slice(z).expect("crop slice");
+            for y in 0..rect.plane.height {
+                for x in 0..rect.plane.width {
+                    assert_eq!(
+                        got.get(x, y),
+                        want.get(rect.plane.x + x, rect.plane.y + y),
+                        "voxel ({x}, {y}, {z}) at {workers} workers"
+                    );
+                }
             }
         }
-    }
 
-    // Typed errors: an out-of-bounds cuboid, a multi-slice region of a 2-D
-    // stream, and a volume stream sent to the 2-D decompress op.
-    let bad_rect =
-        BrickRect { plane: TileRect { x: 40, y: 0, width: 20, height: 10 }, z: 0, depth: 1 };
-    let err = client.decompress_region_volume(&vstream, bad_rect).unwrap_err();
-    assert!(matches!(err, ServerError::Remote { code: ErrorCode::BadPayload, .. }), "{err}");
-    let deep = BrickRect { plane: TileRect { x: 0, y: 0, width: 8, height: 8 }, z: 0, depth: 2 };
-    let err = client.decompress_region_volume(&stream, deep).unwrap_err();
-    assert!(matches!(err, ServerError::Remote { code: ErrorCode::BadPayload, .. }), "{err}");
-    let err = client.decompress(&vstream).unwrap_err();
-    assert!(matches!(err, ServerError::Remote { code: ErrorCode::BadPayload, .. }), "{err}");
+        // Typed errors: an out-of-bounds cuboid, a multi-slice region of a
+        // 2-D stream, and a volume stream sent to the 2-D decompress op.
+        let bad_rect =
+            BrickRect { plane: TileRect { x: 40, y: 0, width: 20, height: 10 }, z: 0, depth: 1 };
+        let err = client.decompress_region_volume(&vstream, bad_rect).unwrap_err();
+        assert!(matches!(err, ServerError::Remote { code: ErrorCode::BadPayload, .. }), "{err}");
+        let deep =
+            BrickRect { plane: TileRect { x: 0, y: 0, width: 8, height: 8 }, z: 0, depth: 2 };
+        let err = client.decompress_region_volume(&stream, deep).unwrap_err();
+        assert!(matches!(err, ServerError::Remote { code: ErrorCode::BadPayload, .. }), "{err}");
+        let err = client.decompress(&vstream).unwrap_err();
+        assert!(matches!(err, ServerError::Remote { code: ErrorCode::BadPayload, .. }), "{err}");
+    }
+}
+
+/// A `decompress-region` payload: the six-word rectangle prefix, then the
+/// stream.
+fn region_payload(rect: BrickRect, stream: &[u8]) -> Vec<u8> {
+    let words =
+        [rect.plane.x, rect.plane.y, rect.z, rect.plane.width, rect.plane.height, rect.depth];
+    let mut payload: Vec<u8> = words.iter().flat_map(|&w| (w as u32).to_be_bytes()).collect();
+    payload.extend_from_slice(stream);
+    payload
+}
+
+#[test]
+fn each_class_of_bad_request_gets_one_error_code_at_every_worker_count() {
+    // One table of malformed requests, one expected code per class, the same
+    // answer whether the request runs on one worker or fans across four.
+    let engine = TiledCompressor::with_codec(LosslessCodec::new(3).unwrap(), 32, 32, 1).unwrap();
+    let image = synth::ct_phantom(80, 60, 12, 3);
+    let lwct = engine.compress(&image).unwrap();
+    assert_eq!(&lwct[..4], b"LWCT");
+    let tiles = engine.grid(80, 60).unwrap().tile_count() as u32;
+    let volume = VolumeCompressor::with_codec(LosslessCodec::new(3).unwrap(), 2, 32, 32, 8, 1)
+        .unwrap()
+        .compress_stack(&synth::ct_volume(32, 32, 12, 4, 2))
+        .unwrap();
+    // A flat 128x128 frame compresses to almost nothing but decodes to a
+    // 32 KiB PGM, beyond the 16 KiB frame limit below.
+    let flat = Image::from_samples(128, 128, 12, vec![100; 128 * 128]).unwrap();
+    let flat_stream = engine.compress(&flat).unwrap();
+    let mut tile_request = tiles.to_be_bytes().to_vec();
+    tile_request.extend_from_slice(&lwct);
+    let cases: Vec<(&str, Op, Vec<u8>, ErrorCode)> = vec![
+        (
+            "LWCT cut inside its directory",
+            Op::Decompress,
+            lwct[..30].to_vec(),
+            ErrorCode::BadPayload,
+        ),
+        (
+            "LWCT cut inside a tile payload",
+            Op::Decompress,
+            lwct[..lwct.len() - 40].to_vec(),
+            ErrorCode::BadPayload,
+        ),
+        (
+            "out-of-range tile index",
+            Op::DecompressTile,
+            tile_request,
+            ErrorCode::TileIndexOutOfRange,
+        ),
+        (
+            "out-of-bounds 2-D region",
+            Op::DecompressRegion,
+            region_payload(
+                BrickRect {
+                    plane: TileRect { x: 60, y: 10, width: 30, height: 10 },
+                    z: 0,
+                    depth: 1,
+                },
+                &lwct,
+            ),
+            ErrorCode::BadPayload,
+        ),
+        (
+            "multi-slice region of a 2-D stream",
+            Op::DecompressRegion,
+            region_payload(
+                BrickRect { plane: TileRect { x: 0, y: 0, width: 8, height: 8 }, z: 0, depth: 2 },
+                &lwct,
+            ),
+            ErrorCode::BadPayload,
+        ),
+        ("LWCV sent to decompress", Op::Decompress, volume, ErrorCode::BadPayload),
+        (
+            "response over the frame limit",
+            Op::Decompress,
+            flat_stream.clone(),
+            ErrorCode::FrameTooLarge,
+        ),
+        (
+            "region response over the frame limit",
+            Op::DecompressRegion,
+            region_payload(
+                BrickRect {
+                    plane: TileRect { x: 0, y: 0, width: 128, height: 128 },
+                    z: 0,
+                    depth: 1,
+                },
+                &flat_stream,
+            ),
+            ErrorCode::FrameTooLarge,
+        ),
+    ];
+    for workers in [1usize, 2, 4] {
+        let config = ServerConfig {
+            workers,
+            queue_depth: 8,
+            scales: 3,
+            tile_size: 32,
+            max_payload_bytes: 16 << 10,
+            read_timeout: Duration::from_millis(20),
+            ..ServerConfig::default()
+        };
+        let server = Server::bind("127.0.0.1:0", config).expect("bind loopback");
+        let mut client = Client::connect(server.local_addr()).expect("connect");
+        for (what, op, payload, want) in &cases {
+            match client.request(*op, payload.clone()) {
+                Err(ServerError::Remote { code, message }) => {
+                    assert_eq!(code, *want, "{what} at {workers} workers: {message}")
+                }
+                other => panic!("{what} at {workers} workers: expected {want:?}, got {other:?}"),
+            }
+        }
+        // The connection survived the table, and a good request still works.
+        let back = client.decompress(&lwct).expect("decompress after the table");
+        assert_eq!(back.samples(), image.samples());
+    }
 }
 
 #[test]
