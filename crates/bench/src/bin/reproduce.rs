@@ -1211,7 +1211,7 @@ fn dwt_line(size: usize) -> Result<(), Box<dyn std::error::Error>> {
 /// End-to-end smoke of the paper-exact fixed-point codec: the Table I
 /// datapath plus the Rice entropy back end producing a real decodable
 /// `LWCF` bitstream. Dispatches through `&dyn Codec` — the same interface
-/// the server and batch engine use — and checks the round trip is bit
+/// the batch engine uses — and checks the round trip is bit
 /// exact, the bytes never depend on the worker count, and the container
 /// directory serves random tile access. CI runs this at 4096×4096.
 fn fixed_codec(size: usize) -> Result<(), Box<dyn std::error::Error>> {

@@ -320,6 +320,13 @@ impl<'a> FixedStream<'a> {
         assert!(index < self.tile_count(), "tile index {index} out of bounds");
         &self.bytes[self.offsets[index] as usize..self.offsets[index + 1] as usize]
     }
+
+    /// The validated directory, keeping no borrow of the bytes: tile `i`
+    /// spans bytes `offsets[i]..offsets[i + 1]` of the container.
+    #[must_use]
+    pub fn into_offsets(self) -> Vec<u64> {
+        self.offsets
+    }
 }
 
 #[cfg(test)]

@@ -5,9 +5,9 @@
 //! [`TiledCompressor`] (tile-parallel lifting, `LWC1`/`LWCT`) and
 //! [`TiledFixedCompressor`] (tile-parallel paper-exact fixed point, `LWCF`)
 //! — that all answer the same two questions: bytes from an image, an image
-//! from bytes. [`Codec`] names that contract once, so call sites (the batch
-//! engine, the server's op dispatch, the reproduction binary) hold a
-//! `&dyn Codec` and never enumerate engines; the 3-D brick engine
+//! from bytes. [`Codec`] names that contract once, so generic call sites
+//! (the reproduction binary, the tests) hold a `&dyn Codec` and never
+//! enumerate engines; the 3-D brick engine
 //! ([`VolumeCompressor`], `LWCV`) and the near-lossless mode (`LWCQ`, a
 //! quantizer bound threaded through the lifting engines) slotted in exactly
 //! that way.

@@ -55,11 +55,15 @@
 //!   worker-count-independent bytes, decode can stream one brick layer at a
 //!   time ([`VolumeCompressor::decompress_slabs`]), and at `z_scales = 0`
 //!   every plane substream is byte-identical to the 2-D tiled path.
+//! * [`EncodePlan`] / [`DecodePlan`] — the one description of a request
+//!   behind the tiled, fixed-point and volumetric engines: independent parts
+//!   (tiles or bricks) plus one assembly. The engines build encode plans;
+//!   the one container sniff ([`DecodePlan::sniff`]) builds decode plans
+//!   for any box of a stream. The library and the server run the same plans.
 //! * [`Codec`] — the unified engine interface: every compressor above
 //!   implements one object-safe trait (compress / decompress / tile access /
-//!   row-band streaming, with capability reporting), so the batch engine,
-//!   the server and the reproduction binary dispatch over `&dyn Codec`
-//!   instead of enumerating engines.
+//!   row-band streaming, with capability reporting), so generic callers
+//!   dispatch over `&dyn Codec` instead of enumerating engines.
 //! * **Near-lossless mode** — the lifting engines ([`ParallelCodec`],
 //!   [`TiledCompressor`], [`VolumeCompressor`], [`BatchCompressor`]) accept
 //!   an [`lwc_coder::LosslessCodec::near_lossless`] configuration: detail
@@ -80,6 +84,7 @@ mod codec;
 mod error;
 mod executor;
 mod parcodec;
+mod plan;
 mod report;
 mod stream;
 mod tiled;
@@ -91,9 +96,13 @@ pub use batch::BatchCompressor;
 pub use codec::{Codec, CodecCapabilities};
 pub use error::PipelineError;
 pub use parcodec::{ParallelCodec, SubbandDirectory};
+pub use plan::{
+    scatter_region, DecodePlan, EncodePlan, RowBand, RowBands, StreamEngine, VolumeSlab,
+    VolumeSlabs,
+};
 pub use report::{BatchReport, TiledDwtReport, TiledReport};
 pub use stream::OrderedStream;
-pub use tiled::{RowBand, RowBands, TiledCompressor, DEFAULT_TILE_SIZE};
+pub use tiled::{TiledCompressor, DEFAULT_TILE_SIZE};
 pub use tileddwt::{TiledDecomposition, TiledFixedDwt2d};
-pub use tiledfixed::{FixedRowBands, TiledFixedCompressor};
-pub use volume::{scatter_region, VolumeCompressor, VolumeSlab, VolumeSlabs, DEFAULT_BRICK_DEPTH};
+pub use tiledfixed::TiledFixedCompressor;
+pub use volume::{VolumeCompressor, DEFAULT_BRICK_DEPTH};

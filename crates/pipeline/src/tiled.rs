@@ -18,15 +18,13 @@
 //!   walks the directory one tile-row at a time, so a consumer can stream a
 //!   huge image top to bottom without ever materializing all of it.
 
-use crate::executor::run_indexed;
+use crate::plan::{clamp_near_lossless, decode_planes, Signature};
 use crate::report::TiledReport;
-use crate::PipelineError;
-use lwc_coder::bitio::BitReader;
-use lwc_coder::tiled::{is_tiled, write_container, TiledHeader, TiledStream};
-use lwc_coder::{CoderError, LosslessCodec, StreamHeader};
-use lwc_image::{Image, TileGrid, TileRect};
+use crate::{DecodePlan, EncodePlan, PipelineError, RowBands};
+use lwc_coder::tiled::{write_container, TiledHeader};
+use lwc_coder::{CoderError, LosslessCodec};
+use lwc_image::{BrickRect, Image, TileGrid};
 use std::thread;
-use std::time::Instant;
 
 /// Default nominal tile side: big enough to amortize per-tile headers and
 /// keep deep decompositions meaningful, small enough that a tile (i32
@@ -160,43 +158,40 @@ impl TiledCompressor {
         &self,
         image: &Image,
     ) -> Result<(Vec<u8>, TiledReport), PipelineError> {
-        let start = Instant::now();
+        let raw_bits = image.pixel_count() * image.bit_depth() as usize;
+        self.encode_plan(image)?.run_with_report(image, self.workers, raw_bits)
+    }
+
+    /// The encode plan of `image`: one part per tile
+    /// ([`TiledCompressor::encode_tile`]), and an assembly that writes the
+    /// `LWCT` container ([`TiledCompressor::assemble_container`]) — except
+    /// for a one-tile grid, whose one legacy `LWC1`/`LWCQ` stream is the
+    /// whole output, so a tile at least as large as the image is
+    /// byte-identical to [`LosslessCodec::compress`].
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for zero image dimensions.
+    pub fn encode_plan(&self, image: &Image) -> Result<EncodePlan<Image>, PipelineError> {
         let grid = self.grid(image.width(), image.height())?;
-        let bytes = if grid.is_single() {
-            // Byte-identical legacy fast path: one tile covering the image is
-            // exactly the whole-image codec (tile dimensions fit the legacy
-            // 20-bit fields by construction).
-            self.codec.compress(image)?
-        } else {
-            let header = TiledHeader {
-                width: image.width(),
-                height: image.height(),
-                bit_depth: image.bit_depth(),
-                scales: self.codec.scales(),
-                tile_width: grid.tile_width(),
-                tile_height: grid.tile_height(),
-                delta: self.codec.delta(),
-            };
-            let payloads = run_indexed(self.workers, grid.tile_count(), |index| {
-                self.encode_tile(image, &grid, index)
-            })?;
-            write_container(&header, &payloads)?
-        };
-        let report = TiledReport {
-            tiles: grid.tile_count(),
-            raw_bytes: (image.pixel_count() * image.bit_depth() as usize).div_ceil(8),
-            compressed_bytes: bytes.len(),
-            workers: self.workers.min(grid.tile_count()),
-            wall: start.elapsed(),
-        };
-        Ok((bytes, report))
+        let (engine, bit_depth) = (*self, image.bit_depth());
+        Ok(EncodePlan::new(
+            grid.tile_count(),
+            move |image, index| engine.encode_tile(image, &grid, index),
+            move |mut payloads| {
+                if grid.is_single() && payloads.len() == 1 {
+                    return Ok(payloads.swap_remove(0));
+                }
+                engine.assemble_container(&grid, bit_depth, &payloads)
+            },
+        ))
     }
 
     /// Compresses one tile of `image` (row-major `index` of `grid`) into
-    /// its standalone per-tile stream — the unit a scheduler can fan across
-    /// workers. Byte-identical to the payload
+    /// its standalone per-tile stream: one part of
+    /// [`TiledCompressor::encode_plan`], so byte-identical to the payload
     /// [`TiledCompressor::compress`] places in the container's `index`
-    /// directory slot, by construction: `compress` itself is built on this.
+    /// directory slot.
     ///
     /// # Errors
     ///
@@ -214,10 +209,8 @@ impl TiledCompressor {
 
     /// Assembles per-tile payloads (row-major `grid` order, one per tile,
     /// as produced by [`TiledCompressor::encode_tile`]) into the `LWCT`
-    /// container [`TiledCompressor::compress`] writes for a multi-tile
-    /// grid. Callers fanning tiles out themselves finish with this; note
-    /// that for a single-tile grid `compress` emits the legacy stream
-    /// instead of a container, so fan-out only applies to multi-tile grids.
+    /// container: the assembly of [`TiledCompressor::encode_plan`] for a
+    /// multi-tile grid (a one-tile grid emits its legacy stream instead).
     ///
     /// # Errors
     ///
@@ -247,45 +240,17 @@ impl TiledCompressor {
     /// the per-pixel bound `δ` their headers declare (each tile's stream
     /// header is cross-checked against the container's quantizer delta).
     ///
-    /// Tiles are decoded in bounded batches (a few per worker) and scattered
-    /// into the frame as each batch completes, so peak memory stays at the
-    /// output frame plus one batch of tiles — not two copies of the image.
+    /// Tiles are decoded in bounded batches ([`DecodePlan::run`]) and
+    /// scattered into the frame as each batch completes, so peak memory
+    /// stays at the output frame plus one batch of tiles.
     ///
     /// # Errors
     ///
     /// Returns an error for malformed streams, mismatched configuration, or
     /// tiles that disagree with the container's grid geometry.
     pub fn decompress(&self, bytes: &[u8]) -> Result<Image, PipelineError> {
-        if !is_tiled(bytes) {
-            // Legacy stream: one sequential decode straight into the frame.
-            // (The per-subband parallel decoder would first skip-scan the
-            // whole stream for its directory, which costs more than the
-            // parallelism wins back.)
-            return Ok(self.codec.decompress(bytes)?);
-        }
-        let stream = TiledStream::parse(bytes)?;
-        let header = *stream.header();
-        self.ensure_scales(&header)?;
-        let grid = stream.grid()?;
-        let mut frame = Image::zeros(header.width, header.height, header.bit_depth)
-            .map_err(CoderError::from)?;
-        // Enough tiles per batch to keep every worker busy, few enough that
-        // the decoded-but-not-yet-scattered set stays small.
-        let batch = (self.workers * 4).max(4);
-        let mut index = 0;
-        while index < grid.tile_count() {
-            let count = batch.min(grid.tile_count() - index);
-            let tiles = self.decode_tiles(&stream, &grid, index, count)?;
-            for (offset, tile) in tiles.iter().enumerate() {
-                let rect = grid.rect(index + offset);
-                frame
-                    .view_rect_mut(rect)
-                    .and_then(|mut window| window.copy_from_image(tile))
-                    .map_err(CoderError::from)?;
-            }
-            index += count;
-        }
-        Ok(frame)
+        let plan = DecodePlan::sniff_for(bytes, self.signature())?;
+        plan.image(plan.run(bytes, self.workers)?)
     }
 
     /// Random tile access: decodes exactly one tile (row-major `index`) of a
@@ -294,240 +259,58 @@ impl TiledCompressor {
     /// legacy single-image stream counts as one tile (index 0 yields the
     /// whole image), so callers can treat every stream uniformly.
     ///
-    /// This is the code path behind the server's `decompress-tile` op and
-    /// the natural seed for region-of-interest decode.
-    ///
     /// # Errors
     ///
     /// Returns an error for malformed streams, mismatched configuration, or
     /// an `index` outside the container's tile grid.
     pub fn decompress_tile(&self, bytes: &[u8], index: usize) -> Result<Image, PipelineError> {
-        if !is_tiled(bytes) {
-            if index != 0 {
-                return Err(CoderError::MalformedStream(format!(
-                    "tile index {index} out of range: a legacy stream is a single tile"
-                ))
-                .into());
-            }
-            return Ok(self.codec.decompress(bytes)?);
-        }
-        self.decompress_parsed_tile(&TiledStream::parse(bytes)?, index)
-    }
-
-    /// [`TiledCompressor::decompress_tile`] over an already-parsed container
-    /// — the path for callers that hold a [`TiledStream`] (e.g. a server
-    /// that parsed it once to learn the tile count) and must not pay for a
-    /// second directory parse per tile.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledCompressor::decompress_tile`].
-    pub fn decompress_parsed_tile(
-        &self,
-        stream: &TiledStream<'_>,
-        index: usize,
-    ) -> Result<Image, PipelineError> {
-        self.ensure_scales(stream.header())?;
-        let grid = stream.grid()?;
-        if index >= grid.tile_count() {
-            return Err(CoderError::MalformedStream(format!(
-                "tile index {index} out of range: the container has {} tiles",
-                grid.tile_count()
-            ))
-            .into());
-        }
-        let mut tiles = self.decode_tiles(stream, &grid, index, 1)?;
-        Ok(tiles.pop().expect("decode_tiles returns exactly one tile"))
-    }
-
-    /// Random tile access by coordinate: decodes the tile containing pixel
-    /// `(x, y)`, returning the tile's rectangle in image coordinates along
-    /// with its pixels (via [`TileGrid::tile_index_at`]). For a legacy
-    /// stream the whole image is the one tile.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledCompressor::decompress_tile`]; additionally errors if
-    /// `(x, y)` lies outside the image.
-    pub fn decompress_tile_at(
-        &self,
-        bytes: &[u8],
-        x: usize,
-        y: usize,
-    ) -> Result<(TileRect, Image), PipelineError> {
-        let locate = |grid: &TileGrid| {
-            grid.tile_index_at(x, y).ok_or_else(|| {
-                CoderError::MalformedStream(format!(
-                    "pixel ({x}, {y}) lies outside the {}x{} image",
-                    grid.image_width(),
-                    grid.image_height()
-                ))
-            })
-        };
-        if is_tiled(bytes) {
-            let stream = TiledStream::parse(bytes)?;
-            let grid = stream.grid()?;
-            let index = locate(&grid)?;
-            Ok((grid.rect(index), self.decompress_parsed_tile(&stream, index)?))
-        } else {
-            let header = StreamHeader::read(&mut BitReader::new(bytes))?;
-            let grid = TileGrid::single(header.width, header.height).map_err(CoderError::from)?;
-            let index = locate(&grid)?;
-            Ok((grid.rect(index), self.decompress_tile(bytes, index)?))
-        }
+        DecodePlan::sniff_for(bytes, self.signature())?.run_part(bytes, index, self.workers)
     }
 
     /// Streaming decode: yields the image one tile-row **band** at a time
     /// (top to bottom), decoding each band's tiles on the worker pool. Peak
-    /// memory is bounded by one band — the decoded tiles of one tile-row
-    /// plus the `image_width x tile_height` band image they assemble into —
-    /// plus the compressed bytes, regardless of the image height. Legacy
-    /// streams yield a single band covering the whole image.
+    /// memory is bounded by one band — the `image_width x tile_height` band
+    /// image plus one batch of decoded tiles — plus the compressed bytes,
+    /// regardless of the image height. Legacy streams yield a single band
+    /// covering the whole image.
     ///
     /// # Errors
     ///
     /// Returns an error if the container header or directory is malformed;
     /// per-band decode errors surface through the iterator's items.
     pub fn decompress_row_bands<'a>(&self, bytes: &'a [u8]) -> Result<RowBands<'a>, PipelineError> {
-        if !is_tiled(bytes) {
-            return Ok(RowBands { engine: *self, source: RowBandSource::Legacy(Some(bytes)) });
-        }
-        let stream = TiledStream::parse(bytes)?;
-        self.ensure_scales(stream.header())?;
-        let grid = stream.grid()?;
-        Ok(RowBands { engine: *self, source: RowBandSource::Tiled { stream, grid, next_row: 0 } })
+        let plan = DecodePlan::sniff_for(bytes, self.signature())?;
+        Ok(RowBands { plan, bytes, workers: self.workers, next_row: 0 })
     }
 
-    fn ensure_scales(&self, header: &TiledHeader) -> Result<(), PipelineError> {
-        if header.scales != self.codec.scales() {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "tiled stream uses {} scales but the codec is configured for {}",
-                header.scales,
-                self.codec.scales()
-            ))
-            .into());
-        }
-        Ok(())
+    /// The streams this engine reads.
+    pub(crate) fn signature(&self) -> Signature {
+        ("LWC1/LWCQ/LWCT", self.codec.scales(), None)
     }
 
-    /// Decodes tiles `first..first + count` (row-major) on the worker pool,
-    /// validating each decoded tile against its grid rectangle.
-    fn decode_tiles(
+    /// Decodes tile `index` (box `rect`) of a stream sniffed into this
+    /// engine to its samples: its stream must declare the tile, the
+    /// container's bit depth and the codec's quantizer.
+    pub(crate) fn decode_tile(
         &self,
-        stream: &TiledStream<'_>,
-        grid: &TileGrid,
-        first: usize,
-        count: usize,
-    ) -> Result<Vec<Image>, PipelineError> {
-        let header = *stream.header();
-        let codec = self.codec;
-        run_indexed(self.workers, count, |offset| {
-            let index = first + offset;
-            let rect = grid.rect(index);
-            let tile_bytes = stream.tile_bytes(index);
-            let tile_header = StreamHeader::read(&mut BitReader::new(tile_bytes))?;
-            if tile_header.delta != header.delta {
-                return Err(CoderError::MalformedStream(format!(
-                    "tile {index} carries quantizer delta {} but the container header says {}",
-                    tile_header.delta, header.delta
-                )));
-            }
-            let tile = codec.decompress(tile_bytes)?;
-            if tile.width() != rect.width || tile.height() != rect.height {
-                return Err(CoderError::MalformedStream(format!(
-                    "tile {index} decodes to {}x{} but the grid places a {}x{} tile there",
-                    tile.width(),
-                    tile.height(),
-                    rect.width,
-                    rect.height
-                )));
-            }
-            if tile.bit_depth() != header.bit_depth {
-                return Err(CoderError::MalformedStream(format!(
-                    "tile {index} carries {}-bit pixels but the container header says {}-bit",
-                    tile.bit_depth(),
-                    header.bit_depth
-                )));
-            }
-            Ok(tile)
-        })
-    }
-}
-
-/// One horizontal band of a streamed tiled decode; see
-/// [`TiledCompressor::decompress_row_bands`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RowBand {
-    /// Row of the full image where this band starts.
-    pub y: usize,
-    /// The decoded band (full image width, one tile-row tall).
-    pub image: Image,
-}
-
-enum RowBandSource<'a> {
-    /// A legacy stream decodes as one full-image band (taken on first `next`).
-    Legacy(Option<&'a [u8]>),
-    Tiled {
-        stream: TiledStream<'a>,
-        grid: TileGrid,
-        next_row: usize,
-    },
-}
-
-/// Iterator over the row bands of a compressed stream, yielded top to bottom.
-pub struct RowBands<'a> {
-    engine: TiledCompressor,
-    source: RowBandSource<'a>,
-}
-
-impl RowBands<'_> {
-    fn next_tiled_band(&mut self) -> Option<Result<RowBand, PipelineError>> {
-        let RowBandSource::Tiled { stream, grid, next_row } = &mut self.source else {
-            unreachable!("only called for tiled sources");
-        };
-        if *next_row >= grid.tiles_y() {
-            return None;
-        }
-        let ty = *next_row;
-        *next_row += 1;
-        let tiles_x = grid.tiles_x();
-        let band_rect = grid.rect_at(0, ty);
-        let result = (|| {
-            let tiles = self.engine.decode_tiles(stream, grid, ty * tiles_x, tiles_x)?;
-            let mut band =
-                Image::zeros(grid.image_width(), band_rect.height, stream.header().bit_depth)
-                    .map_err(CoderError::from)?;
-            for (tx, tile) in tiles.iter().enumerate() {
-                let mut rect = grid.rect_at(tx, ty);
-                rect.y = 0; // band-local coordinates
-                band.view_rect_mut(rect)
-                    .and_then(|mut window| window.copy_from_image(tile))
-                    .map_err(CoderError::from)?;
-            }
-            Ok(RowBand { y: band_rect.y, image: band })
-        })();
-        Some(result)
-    }
-}
-
-impl Iterator for RowBands<'_> {
-    type Item = Result<RowBand, PipelineError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        match &mut self.source {
-            RowBandSource::Legacy(bytes) => {
-                let bytes = bytes.take()?;
-                Some(self.engine.decompress(bytes).map(|image| RowBand { y: 0, image }))
-            }
-            RowBandSource::Tiled { .. } => self.next_tiled_band(),
-        }
+        bytes: &[u8],
+        index: usize,
+        rect: BrickRect,
+        bit_depth: u32,
+    ) -> Result<Vec<i32>, CoderError> {
+        let delta = self.codec.delta();
+        let part = format!("tile {index}");
+        let mut samples = decode_planes(&self.codec, &[bytes], rect, bit_depth, delta, &part)?;
+        clamp_near_lossless(&mut samples, bit_depth, delta);
+        Ok(samples)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lwc_coder::tiled::TILED_HEADER_BYTES;
+    use crate::RowBand;
+    use lwc_coder::tiled::{is_tiled, TILED_HEADER_BYTES};
     use lwc_image::{stats, synth};
 
     #[test]
@@ -637,11 +420,6 @@ mod tests {
         }
         // Out-of-range indices are typed errors, not panics.
         assert!(engine.decompress_tile(&bytes, grid.tile_count()).is_err());
-        // By-coordinate lookup agrees with the row-major index.
-        let (rect, tile) = engine.decompress_tile_at(&bytes, 99, 59).unwrap();
-        assert_eq!(rect, grid.rect(grid.tile_count() - 1));
-        assert!(stats::bit_exact(&image.crop(rect).unwrap(), &tile).unwrap());
-        assert!(engine.decompress_tile_at(&bytes, 100, 0).is_err(), "x out of bounds");
     }
 
     #[test]
@@ -652,9 +430,6 @@ mod tests {
         let tile = engine.decompress_tile(&legacy, 0).unwrap();
         assert!(stats::bit_exact(&image, &tile).unwrap());
         assert!(engine.decompress_tile(&legacy, 1).is_err());
-        let (rect, whole) = engine.decompress_tile_at(&legacy, 63, 47).unwrap();
-        assert_eq!((rect.width, rect.height), (64, 48));
-        assert!(stats::bit_exact(&image, &whole).unwrap());
     }
 
     #[test]
@@ -671,7 +446,6 @@ mod tests {
                 let prefix = &stream[..len];
                 assert!(engine.decompress(prefix).is_err(), "decompress, prefix {len}");
                 assert!(engine.decompress_tile(prefix, 0).is_err(), "tile, prefix {len}");
-                assert!(engine.decompress_tile_at(prefix, 0, 0).is_err(), "at, prefix {len}");
                 // The row-band iterator may defer the failure to the first
                 // item (legacy sniff) — either way it must be an Err.
                 match engine.decompress_row_bands(prefix) {

@@ -17,15 +17,15 @@
 //! [`ParallelCodec`](crate::ParallelCodec) uses on the lifting path.
 
 use crate::executor::run_indexed;
+use crate::plan::Signature;
 use crate::report::TiledReport;
-use crate::{PipelineError, TiledFixedDwt2d};
+use crate::{DecodePlan, EncodePlan, PipelineError, RowBands, TiledFixedDwt2d};
 use lwc_coder::bitio::{BitReader, BitWriter};
-use lwc_coder::fixedtiled::{write_fixed_container, FixedHeader, FixedStream};
+use lwc_coder::fixedtiled::{write_fixed_container, FixedHeader};
 use lwc_coder::{subband_order, CoderError, FixedSubbandCodec};
 use lwc_dwt::{Decomposition, DwtError, FixedDwt2d, Subband};
 use lwc_filters::{FilterBank, FilterId};
 use lwc_image::{Image, TileGrid, TileRect};
-use std::time::Instant;
 
 /// The subband named by a [`subband_order`] band index.
 fn band_of(index: usize) -> Subband {
@@ -184,35 +184,35 @@ impl TiledFixedCompressor {
         &self,
         image: &Image,
     ) -> Result<(Vec<u8>, TiledReport), PipelineError> {
-        let start = Instant::now();
+        let raw_bits = image.pixel_count() * image.bit_depth() as usize;
+        self.encode_plan(image)?.run_with_report(image, self.workers(), raw_bits)
+    }
+
+    /// The encode plan of `image`: one part per tile
+    /// ([`TiledFixedCompressor::encode_tile`]) and the `LWCF` container
+    /// assembly ([`TiledFixedCompressor::assemble_container`]). Even a
+    /// one-tile grid is wrapped: there is no legacy fixed format.
+    ///
+    /// # Errors
+    ///
+    /// See [`TiledFixedCompressor::grid`].
+    pub fn encode_plan(&self, image: &Image) -> Result<EncodePlan<Image>, PipelineError> {
         let grid = self.grid(image.width(), image.height())?;
         let header = self.header_for(&grid, image.bit_depth());
-        let payloads = if grid.is_single() {
-            // One tile cannot be fanned out by tiles; splice its subbands
-            // instead (bit-exact to the sequential payload by construction).
-            vec![self.encode_tile_spliced(&self.dwt.inner().forward(image)?)?]
-        } else {
-            run_indexed(self.workers(), grid.tile_count(), |index| {
-                self.encode_tile(image, &grid, index)
-            })?
-        };
-        let bytes = write_fixed_container(&header, &payloads)?;
-        let report = TiledReport {
-            tiles: grid.tile_count(),
-            raw_bytes: (image.pixel_count() * image.bit_depth() as usize).div_ceil(8),
-            compressed_bytes: bytes.len(),
-            workers: self.workers().min(grid.tile_count()),
-            wall: start.elapsed(),
-        };
-        Ok((bytes, report))
+        let engine = self.clone();
+        Ok(EncodePlan::new(
+            grid.tile_count(),
+            move |image, index| engine.encode_tile(image, &grid, index),
+            move |payloads| Ok(write_fixed_container(&header, &payloads)?),
+        ))
     }
 
     /// Compresses one tile of `image` (row-major `index` of `grid`) into
-    /// its standalone `LWCF` tile payload — the unit a scheduler can fan
-    /// across workers. Byte-identical to the payload
-    /// [`TiledFixedCompressor::compress`] places at that directory slot
-    /// (for a single-tile grid this is the subband-spliced whole-image
-    /// payload; `compress` is built on this either way).
+    /// its standalone `LWCF` tile payload: one part of
+    /// [`TiledFixedCompressor::encode_plan`], so byte-identical to the
+    /// payload [`TiledFixedCompressor::compress`] places at that directory
+    /// slot. For a single-tile grid this is the subband-spliced whole-image
+    /// payload, its subbands fanned across the worker pool.
     ///
     /// # Errors
     ///
@@ -232,8 +232,8 @@ impl TiledFixedCompressor {
     }
 
     /// Assembles per-tile payloads (row-major `grid` order, as produced by
-    /// [`TiledFixedCompressor::encode_tile`]) into the `LWCF` container
-    /// [`TiledFixedCompressor::compress`] writes.
+    /// [`TiledFixedCompressor::encode_tile`]) into the `LWCF` container: the
+    /// assembly of [`TiledFixedCompressor::encode_plan`].
     ///
     /// # Errors
     ///
@@ -269,36 +269,18 @@ impl TiledFixedCompressor {
     }
 
     /// Reconstructs the image from an `LWCF` container. The result is
-    /// pixel-exact. Tiles are decoded in bounded batches (a few per worker)
-    /// and scattered into the frame as each batch completes, so peak memory
-    /// stays at the output frame plus one batch of tiles.
+    /// pixel-exact. Tiles are decoded in bounded batches
+    /// ([`DecodePlan::run`]) and scattered into the frame as each batch
+    /// completes, so peak memory stays at the output frame plus one batch of
+    /// tiles.
     ///
     /// # Errors
     ///
     /// Returns an error for malformed streams or containers whose filter or
     /// depth disagree with this engine's transform.
     pub fn decompress(&self, bytes: &[u8]) -> Result<Image, PipelineError> {
-        let stream = FixedStream::parse(bytes)?;
-        let header = *stream.header();
-        self.ensure_compatible(&header)?;
-        let grid = stream.grid()?;
-        let mut frame = Image::zeros(header.width, header.height, header.bit_depth)
-            .map_err(CoderError::from)?;
-        let batch = (self.workers() * 4).max(4);
-        let mut index = 0;
-        while index < grid.tile_count() {
-            let count = batch.min(grid.tile_count() - index);
-            let tiles = self.decode_tiles(&stream, &grid, index, count)?;
-            for (offset, tile) in tiles.iter().enumerate() {
-                let rect = grid.rect(index + offset);
-                frame
-                    .view_rect_mut(rect)
-                    .and_then(|mut window| window.copy_from_image(tile))
-                    .map_err(CoderError::from)?;
-            }
-            index += count;
-        }
-        Ok(frame)
+        let plan = DecodePlan::sniff_for(bytes, self.signature())?;
+        plan.image(plan.run(bytes, self.workers())?)
     }
 
     /// Random tile access: decodes exactly one tile (row-major `index`)
@@ -310,58 +292,7 @@ impl TiledFixedCompressor {
     /// See [`TiledFixedCompressor::decompress`]; additionally errors for an
     /// `index` outside the container's grid.
     pub fn decompress_tile(&self, bytes: &[u8], index: usize) -> Result<Image, PipelineError> {
-        self.decompress_parsed_tile(&FixedStream::parse(bytes)?, index)
-    }
-
-    /// [`TiledFixedCompressor::decompress_tile`] over an already-parsed
-    /// container — for callers that must not pay a second directory parse
-    /// per tile.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledFixedCompressor::decompress_tile`].
-    pub fn decompress_parsed_tile(
-        &self,
-        stream: &FixedStream<'_>,
-        index: usize,
-    ) -> Result<Image, PipelineError> {
-        self.ensure_compatible(stream.header())?;
-        let grid = stream.grid()?;
-        if index >= grid.tile_count() {
-            return Err(CoderError::MalformedStream(format!(
-                "tile index {index} out of range: the container has {} tiles",
-                grid.tile_count()
-            ))
-            .into());
-        }
-        let mut tiles = self.decode_tiles(stream, &grid, index, 1)?;
-        Ok(tiles.pop().expect("decode_tiles returns exactly one tile"))
-    }
-
-    /// Random tile access by coordinate: decodes the tile containing pixel
-    /// `(x, y)`, returning the tile's rectangle in image coordinates along
-    /// with its pixels.
-    ///
-    /// # Errors
-    ///
-    /// See [`TiledFixedCompressor::decompress_tile`]; additionally errors if
-    /// `(x, y)` lies outside the image.
-    pub fn decompress_tile_at(
-        &self,
-        bytes: &[u8],
-        x: usize,
-        y: usize,
-    ) -> Result<(TileRect, Image), PipelineError> {
-        let stream = FixedStream::parse(bytes)?;
-        let grid = stream.grid()?;
-        let index = grid.tile_index_at(x, y).ok_or_else(|| {
-            CoderError::MalformedStream(format!(
-                "pixel ({x}, {y}) lies outside the {}x{} image",
-                grid.image_width(),
-                grid.image_height()
-            ))
-        })?;
-        Ok((grid.rect(index), self.decompress_parsed_tile(&stream, index)?))
+        DecodePlan::sniff_for(bytes, self.signature())?.run_part(bytes, index, self.workers())
     }
 
     /// Streaming decode: yields the image one tile-row **band** at a time
@@ -373,53 +304,26 @@ impl TiledFixedCompressor {
     ///
     /// Returns an error if the container header or directory is malformed;
     /// per-band decode errors surface through the iterator's items.
-    pub fn decompress_row_bands<'a>(
-        &self,
-        bytes: &'a [u8],
-    ) -> Result<FixedRowBands<'a>, PipelineError> {
-        let stream = FixedStream::parse(bytes)?;
-        self.ensure_compatible(stream.header())?;
-        let grid = stream.grid()?;
-        Ok(FixedRowBands { engine: self.clone(), stream, grid, next_row: 0 })
+    pub fn decompress_row_bands<'a>(&self, bytes: &'a [u8]) -> Result<RowBands<'a>, PipelineError> {
+        let plan = DecodePlan::sniff_for(bytes, self.signature())?;
+        Ok(RowBands { plan, bytes, workers: self.workers(), next_row: 0 })
     }
 
-    fn ensure_compatible(&self, header: &FixedHeader) -> Result<(), PipelineError> {
-        if header.scales != self.scales() {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "fixed stream uses {} scales but the engine is configured for {}",
-                header.scales,
-                self.scales()
-            ))
-            .into());
-        }
-        if header.filter as usize != self.filter_id().index() {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "fixed stream uses filter index {} but the engine runs {}",
-                header.filter,
-                self.filter_id()
-            ))
-            .into());
-        }
-        Ok(())
+    /// The streams this engine reads.
+    pub(crate) fn signature(&self) -> Signature {
+        ("LWCF", self.scales(), Some(self.filter_id()))
     }
 
-    /// Decodes tiles `first..first + count` (row-major) on the worker pool.
-    fn decode_tiles(
+    /// Decodes one tile payload (rectangle `rect`) of a stream sniffed into
+    /// this engine to the tile's samples.
+    pub(crate) fn decode_tile(
         &self,
-        stream: &FixedStream<'_>,
-        grid: &TileGrid,
-        first: usize,
-        count: usize,
-    ) -> Result<Vec<Image>, PipelineError> {
-        let header = *stream.header();
-        let codec = self.codec;
-        let inner = self.dwt.inner();
-        run_indexed(self.workers(), count, |offset| {
-            let index = first + offset;
-            let rect = grid.rect(index);
-            let tile = decode_tile_payload(codec, stream.tile_bytes(index), &rect, &header)?;
-            Ok::<_, PipelineError>(inner.inverse(&tile)?)
-        })
+        payload: &[u8],
+        rect: TileRect,
+        bit_depth: u32,
+    ) -> Result<Vec<i32>, PipelineError> {
+        let tile = decode_tile_payload(self, payload, &rect, bit_depth)?;
+        Ok(self.dwt.inner().inverse(&tile)?.into_samples())
     }
 }
 
@@ -437,29 +341,24 @@ fn encode_tile_payload(codec: FixedSubbandCodec, tile: &Decomposition<i64>) -> V
 /// Decodes one tile payload back into the tile's Mallat-layout word
 /// container, validating exact consumption of the payload.
 fn decode_tile_payload(
-    codec: FixedSubbandCodec,
+    engine: &TiledFixedCompressor,
     payload: &[u8],
     rect: &TileRect,
-    header: &FixedHeader,
+    bit_depth: u32,
 ) -> Result<Decomposition<i64>, PipelineError> {
-    let id = *FilterId::ALL.get(header.filter as usize).ok_or_else(|| {
-        CoderError::UnsupportedFormat(format!(
-            "filter index {} is not a Table I bank",
-            header.filter
-        ))
-    })?;
+    let scales = engine.scales();
     let mut tile = Decomposition::from_raw(
         vec![0i64; rect.width * rect.height],
         rect.width,
         rect.height,
-        header.scales,
-        id,
-        header.bit_depth,
+        scales,
+        engine.filter_id(),
+        bit_depth,
     );
     let mut reader = BitReader::new(payload);
-    for (scale, band) in subband_order(header.scales) {
+    for (scale, band) in subband_order(scales) {
         let sb = tile.subband_rect(scale, band_of(band));
-        let words = codec.decode_subband(&mut reader, sb.len())?;
+        let words = engine.codec.decode_subband(&mut reader, sb.len())?;
         let width = tile.width();
         let data = tile.data_mut();
         for (row, chunk) in words.chunks_exact(sb.width).enumerate() {
@@ -478,52 +377,10 @@ fn decode_tile_payload(
     Ok(tile)
 }
 
-/// One horizontal band of a streamed `LWCF` decode; see
-/// [`TiledFixedCompressor::decompress_row_bands`].
-pub struct FixedRowBands<'a> {
-    engine: TiledFixedCompressor,
-    stream: FixedStream<'a>,
-    grid: TileGrid,
-    next_row: usize,
-}
-
-impl Iterator for FixedRowBands<'_> {
-    type Item = Result<crate::RowBand, PipelineError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next_row >= self.grid.tiles_y() {
-            return None;
-        }
-        let ty = self.next_row;
-        self.next_row += 1;
-        let tiles_x = self.grid.tiles_x();
-        let band_rect = self.grid.rect_at(0, ty);
-        let result = (|| {
-            let tiles =
-                self.engine.decode_tiles(&self.stream, &self.grid, ty * tiles_x, tiles_x)?;
-            let mut band = Image::zeros(
-                self.grid.image_width(),
-                band_rect.height,
-                self.stream.header().bit_depth,
-            )
-            .map_err(CoderError::from)?;
-            for (tx, tile) in tiles.iter().enumerate() {
-                let mut rect = self.grid.rect_at(tx, ty);
-                rect.y = 0; // band-local coordinates
-                band.view_rect_mut(rect)
-                    .and_then(|mut window| window.copy_from_image(tile))
-                    .map_err(CoderError::from)?;
-            }
-            Ok(crate::RowBand { y: band_rect.y, image: band })
-        })();
-        Some(result)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lwc_coder::fixedtiled::{is_fixed, FIXED_HEADER_BYTES};
+    use lwc_coder::fixedtiled::{is_fixed, FixedStream, FIXED_HEADER_BYTES};
     use lwc_image::{stats, synth};
 
     fn engine(scales: u32, tile: usize, workers: usize) -> TiledFixedCompressor {
@@ -623,10 +480,6 @@ mod tests {
             assert!(stats::bit_exact(&expected, &tile).unwrap(), "tile {index}");
         }
         assert!(eng.decompress_tile(&bytes, grid.tile_count()).is_err());
-        let (rect, tile) = eng.decompress_tile_at(&bytes, 95, 63).unwrap();
-        assert_eq!(rect, grid.rect(grid.tile_count() - 1));
-        assert!(stats::bit_exact(&image.crop(rect).unwrap(), &tile).unwrap());
-        assert!(eng.decompress_tile_at(&bytes, 96, 0).is_err(), "x out of bounds");
     }
 
     #[test]

@@ -16,24 +16,21 @@
 //!   substreams become byte-identical to the 2-D tiled path's,
 //! * **brick parallelism** — one volume request fans into
 //!   `bricks_z x tiles` independent encode/decode jobs with worker-count
-//!   independent bytes (the same [`run_indexed`] discipline as every other
-//!   engine),
+//!   independent bytes (the same [`DecodePlan`] and executor as every
+//!   other engine),
 //! * **bounded-memory decode** — [`VolumeCompressor::decompress_slabs`]
 //!   walks the directory one brick layer at a time, the volumetric mirror of
 //!   `decompress_row_bands`, sound because z transforms never cross brick
 //!   boundaries.
 
-use crate::executor::run_indexed;
+use crate::plan::{clamp_near_lossless, decode_planes, Signature};
 use crate::report::TiledReport;
-use crate::PipelineError;
+use crate::{DecodePlan, EncodePlan, PipelineError, VolumeSlabs};
 use lwc_coder::volume::{split_brick_payload, write_brick_payload, write_volume_container};
-use lwc_coder::{
-    plane_delta_for_volume, CoderError, LosslessCodec, StreamHeader, VolumeHeader, VolumeStream,
-};
+use lwc_coder::{plane_delta_for_volume, CoderError, LosslessCodec, VolumeHeader, VolumeStream};
 use lwc_image::{BrickGrid, BrickRect, Image, ImageStack, ImageView};
 use lwc_lifting::{forward_z, inverse_z};
 use std::thread;
-use std::time::Instant;
 
 /// Default nominal brick depth in slices: deep enough that two z scales have
 /// material to work with, shallow enough that a brick (tile footprint x
@@ -219,27 +216,31 @@ impl VolumeCompressor {
         &self,
         stack: &ImageStack,
     ) -> Result<(Vec<u8>, TiledReport), PipelineError> {
-        let start = Instant::now();
+        let raw_bits = stack.voxel_count() * stack.bit_depth() as usize;
+        self.encode_plan(stack)?.run_with_report(stack, self.workers, raw_bits)
+    }
+
+    /// The encode plan of `stack`: one part per brick
+    /// ([`VolumeCompressor::encode_brick`]) and the `LWCV` container
+    /// assembly ([`VolumeCompressor::assemble_container`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns an error for zero volume dimensions.
+    pub fn encode_plan(&self, stack: &ImageStack) -> Result<EncodePlan<ImageStack>, PipelineError> {
         let grid = self.grid(stack.width(), stack.height(), stack.depth())?;
-        let payloads = run_indexed(self.workers, grid.brick_count(), |index| {
-            self.encode_brick(stack, &grid, index)
-        })?;
-        let bytes = self.assemble_container(&grid, stack.bit_depth(), &payloads)?;
-        let report = TiledReport {
-            tiles: grid.brick_count(),
-            raw_bytes: (stack.voxel_count() * stack.bit_depth() as usize).div_ceil(8),
-            compressed_bytes: bytes.len(),
-            workers: self.workers.min(grid.brick_count()),
-            wall: start.elapsed(),
-        };
-        Ok((bytes, report))
+        let (engine, bit_depth) = (*self, stack.bit_depth());
+        Ok(EncodePlan::new(
+            grid.brick_count(),
+            move |stack, index| engine.encode_brick(stack, &grid, index),
+            move |payloads| engine.assemble_container(&grid, bit_depth, &payloads),
+        ))
     }
 
     /// Compresses one brick (plane-major `index` of `grid`) into its
-    /// standalone payload — the unit a scheduler can fan across workers.
-    /// Byte-identical to the payload [`VolumeCompressor::compress_stack`]
-    /// places in the container's `index` directory slot, by construction:
-    /// `compress_stack` itself is built on this.
+    /// standalone payload: one part of [`VolumeCompressor::encode_plan`], so
+    /// byte-identical to the payload [`VolumeCompressor::compress_stack`]
+    /// places in the container's `index` directory slot.
     ///
     /// The brick is gathered plane-major, z-lifted in place
     /// ([`lwc_lifting::forward_z`]; a no-op at `z_scales = 0`), and every
@@ -280,9 +281,7 @@ impl VolumeCompressor {
 
     /// Assembles per-brick payloads (plane-major `grid` order, one per
     /// brick, as produced by [`VolumeCompressor::encode_brick`]) into the
-    /// `LWCV` container [`VolumeCompressor::compress_stack`] writes. Callers
-    /// fanning bricks out themselves — the server's volume op — finish with
-    /// this.
+    /// `LWCV` container: the assembly of [`VolumeCompressor::encode_plan`].
     ///
     /// # Errors
     ///
@@ -312,9 +311,10 @@ impl VolumeCompressor {
     /// Reconstructs the volume from an `LWCV` container — voxel-exact for
     /// lossless streams, within the per-voxel bound `δ` the container header
     /// declares for near-lossless ones (each plane's stream header is
-    /// cross-checked against the bound the container implies).
+    /// cross-checked against the bound the container implies). The
+    /// container header, not this engine, carries the z decomposition.
     ///
-    /// Bricks are decoded in bounded batches (a few per worker) and
+    /// Bricks are decoded in bounded batches ([`DecodePlan::run`]) and
     /// scattered into the volume as each batch completes. Every
     /// reconstructed sample is range-validated against the container's bit
     /// depth after the inverse z transform — corrupt brick payloads that
@@ -325,30 +325,8 @@ impl VolumeCompressor {
     /// Returns an error for malformed streams, mismatched configuration, or
     /// bricks that disagree with the container's grid geometry.
     pub fn decompress_stack(&self, bytes: &[u8]) -> Result<ImageStack, PipelineError> {
-        let stream = VolumeStream::parse(bytes)?;
-        let header = *stream.header();
-        self.ensure_scales(&header)?;
-        let grid = stream.grid()?;
-        let mut volume = vec![0i32; header.width * header.height * header.depth];
-        let batch = (self.workers * 4).max(4);
-        let mut index = 0;
-        while index < grid.brick_count() {
-            let count = batch.min(grid.brick_count() - index);
-            let bricks = self.decode_bricks(&stream, &grid, index, count)?;
-            for (offset, brick) in bricks.iter().enumerate() {
-                let rect = grid.rect(index + offset);
-                scatter_brick(&mut volume, header.width, header.height, rect, brick);
-            }
-            index += count;
-        }
-        Ok(ImageStack::from_samples(
-            header.width,
-            header.height,
-            header.depth,
-            header.bit_depth,
-            volume,
-        )
-        .map_err(CoderError::from)?)
+        let plan = DecodePlan::sniff_for(bytes, self.signature())?;
+        plan.stack(plan.run(bytes, self.workers)?)
     }
 
     /// Streaming decode: yields the volume one brick-layer **slab** at a
@@ -364,16 +342,15 @@ impl VolumeCompressor {
     /// Returns an error if the container header or directory is malformed;
     /// per-slab decode errors surface through the iterator's items.
     pub fn decompress_slabs<'a>(&self, bytes: &'a [u8]) -> Result<VolumeSlabs<'a>, PipelineError> {
-        let stream = VolumeStream::parse(bytes)?;
-        self.ensure_scales(stream.header())?;
-        let grid = stream.grid()?;
-        Ok(VolumeSlabs { engine: *self, stream, grid, next_layer: 0 })
+        let plan = DecodePlan::sniff_for(bytes, self.signature())?;
+        Ok(VolumeSlabs { plan, bytes, workers: self.workers, next_layer: 0 })
     }
 
     /// Decodes the minimal set of bricks covering the box `rect` and crops
     /// the box out — region-of-interest access over the container directory,
     /// decoding nothing outside the covering bricks. The bricks fan across
-    /// the worker pool.
+    /// the worker pool in the same bounded batches as
+    /// [`VolumeCompressor::decompress_stack`].
     ///
     /// # Errors
     ///
@@ -384,40 +361,9 @@ impl VolumeCompressor {
         bytes: &[u8],
         rect: BrickRect,
     ) -> Result<ImageStack, PipelineError> {
-        let stream = VolumeStream::parse(bytes)?;
-        let header = *stream.header();
-        self.ensure_scales(&header)?;
-        let grid = stream.grid()?;
-        let indices = grid.covering_indices(rect).ok_or_else(|| {
-            CoderError::MalformedStream(format!(
-                "region ({}, {}, {}) {}x{}x{} does not fit the {}x{}x{} volume",
-                rect.plane.x,
-                rect.plane.y,
-                rect.z,
-                rect.plane.width,
-                rect.plane.height,
-                rect.depth,
-                header.width,
-                header.height,
-                header.depth
-            ))
-        })?;
-        let bricks = run_indexed(self.workers, indices.len(), |i| {
-            self.decode_brick(&stream, &grid, indices[i])
-        })?;
-        let mut region = vec![0i32; rect.voxel_count()];
-        for (&index, brick) in indices.iter().zip(&bricks) {
-            let brick_rect = grid.rect(index);
-            scatter_region(&mut region, rect, brick_rect, brick);
-        }
-        Ok(ImageStack::from_samples(
-            rect.plane.width,
-            rect.plane.height,
-            rect.depth,
-            header.bit_depth,
-            region,
-        )
-        .map_err(CoderError::from)?)
+        let mut plan = DecodePlan::sniff_for(bytes, self.signature())?;
+        plan.select(rect)?;
+        plan.stack(plan.run(bytes, self.workers)?)
     }
 
     /// Decodes brick `index` (plane-major directory order) as a 2-D image —
@@ -436,66 +382,16 @@ impl VolumeCompressor {
         bytes: &[u8],
         index: usize,
     ) -> Result<Image, PipelineError> {
-        let stream = VolumeStream::parse(bytes)?;
-        self.ensure_scales(stream.header())?;
-        let grid = stream.grid()?;
-        if index >= grid.brick_count() {
-            return Err(CoderError::MalformedStream(format!(
-                "brick index {index} out of range: the directory holds {} bricks",
-                grid.brick_count()
-            ))
-            .into());
-        }
-        let rect = grid.rect(index);
-        if rect.depth != 1 {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "brick {index} spans {} slices and cannot reduce to a 2-D image; use \
-                 decompress_region",
-                rect.depth
-            ))
-            .into());
-        }
-        let samples = self.decode_brick(&stream, &grid, index)?;
-        Ok(Image::from_samples(
-            rect.plane.width,
-            rect.plane.height,
-            stream.header().bit_depth,
-            samples,
-        )
-        .map_err(CoderError::from)?)
+        let plan = DecodePlan::sniff_for(bytes, self.signature())?;
+        plan.run_part(bytes, index, self.workers)
     }
 
-    fn ensure_scales(&self, header: &VolumeHeader) -> Result<(), PipelineError> {
-        if header.scales != self.codec.scales() {
-            return Err(CoderError::UnsupportedFormat(format!(
-                "volume stream uses {} scales but the codec is configured for {}",
-                header.scales,
-                self.codec.scales()
-            ))
-            .into());
-        }
-        Ok(())
-    }
-
-    /// Decodes bricks `first..first + count` (plane-major) on the worker
-    /// pool, returning each brick's plane-major raw samples (inverse z
-    /// applied, range validation deferred to the caller's
-    /// [`ImageStack::from_samples`]).
-    fn decode_bricks(
-        &self,
-        stream: &VolumeStream<'_>,
-        grid: &BrickGrid,
-        first: usize,
-        count: usize,
-    ) -> Result<Vec<Vec<i32>>, PipelineError> {
-        run_indexed(self.workers, count, |offset| self.decode_brick(stream, grid, first + offset))
-    }
-
-    /// Decodes one brick of a parsed stream to its plane-major raw samples —
-    /// the per-brick unit an external scheduler (the server's volume ops)
-    /// fans across workers, paired with [`scatter_region`] to place the
-    /// result. Range validation is deferred: feed the assembled buffer
-    /// through [`ImageStack::from_samples`].
+    /// Decodes one brick of a parsed stream to its plane-major raw samples,
+    /// with the stream's own parameters — the per-brick unit of the decode
+    /// plan, exposed so a caller can time or check one brick alone; pair it
+    /// with [`crate::scatter_region`] to place the result. Range validation is
+    /// deferred: feed the assembled buffer through
+    /// [`ImageStack::from_samples`].
     ///
     /// # Errors
     ///
@@ -507,149 +403,45 @@ impl VolumeCompressor {
         grid: &BrickGrid,
         index: usize,
     ) -> Result<Vec<i32>, PipelineError> {
-        Ok(self.decode_brick(stream, grid, index)?)
+        let (bytes, rect) = (stream.brick_bytes(index), grid.rect(index));
+        let engine = Self::for_stream(stream.header())?;
+        Ok(engine.decode_brick(bytes, index, rect, stream.header().bit_depth)?)
     }
 
-    /// Decodes one brick: splits the payload's plane table, 2-D decodes
-    /// every coefficient plane through the raw (range-unchecked) path
-    /// straight into its slot of the brick buffer, then inverts the z
-    /// transform with the **container's** `z_scales`. Each plane's stream
-    /// header is checked before the plane is decoded: it must declare the
-    /// brick rectangle's shape, the container's bit depth and the per-plane
-    /// quantizer delta the container's volume bound implies. Near-lossless
-    /// voxels are clamped to the container's sample range after the inverse
-    /// z transform (clamping only moves a reconstruction toward the
-    /// original, so the bound holds).
-    fn decode_brick(
+    /// The single-threaded engine an `LWCV` header calls for: its depth, z
+    /// depth, brick shape and quantizer bound.
+    pub(crate) fn for_stream(header: &VolumeHeader) -> Result<Self, PipelineError> {
+        let codec = LosslessCodec::near_lossless(header.scales, header.delta)?;
+        let (tile_width, tile_height) = (header.tile_width, header.tile_height);
+        Self::with_codec(codec, header.z_scales, tile_width, tile_height, header.brick_depth, 1)
+    }
+
+    /// The streams this engine reads.
+    pub(crate) fn signature(&self) -> Signature {
+        ("LWCV", self.codec.scales(), None)
+    }
+
+    /// Decodes brick `index` (box `rect`) of a stream this engine was built
+    /// for ([`VolumeCompressor::for_stream`]): splits the payload's plane
+    /// table, decodes every coefficient plane into its slot of the brick
+    /// buffer, each plane's stream checked against the brick's plane, the
+    /// container's bit depth and the per-plane quantizer delta the
+    /// container's volume bound implies, then inverts the z transform.
+    /// Near-lossless voxels are clamped to the container's sample range
+    /// after the inverse z transform.
+    pub(crate) fn decode_brick(
         &self,
-        stream: &VolumeStream<'_>,
-        grid: &BrickGrid,
+        payload: &[u8],
         index: usize,
+        rect: BrickRect,
+        bit_depth: u32,
     ) -> Result<Vec<i32>, CoderError> {
-        let header = stream.header();
-        let rect = grid.rect(index);
-        let plane_len = rect.plane.pixel_count();
-        let planes = split_brick_payload(stream.brick_bytes(index), rect.depth)?;
-        let expected = StreamHeader {
-            width: rect.plane.width,
-            height: rect.plane.height,
-            bit_depth: header.bit_depth,
-            scales: self.codec.scales(),
-            delta: plane_delta_for_volume(header.delta, header.z_scales),
-        };
-        let mut samples = vec![0i32; plane_len * rect.depth];
-        for (z, (plane_bytes, slot)) in planes.iter().zip(samples.chunks_mut(plane_len)).enumerate()
-        {
-            self.codec.decompress_raw_into(plane_bytes, &expected, slot).map_err(|e| match e {
-                CoderError::MalformedStream(msg) => {
-                    CoderError::MalformedStream(format!("brick {index} plane {z}: {msg}"))
-                }
-                other => other,
-            })?;
-        }
-        inverse_z(&mut samples, plane_len, rect.depth, header.z_scales)?;
-        if header.delta != 0 {
-            // i64 keeps a forged bit depth from overflowing the shift before
-            // the range validation downstream rejects it.
-            let max = ((1i64 << header.bit_depth) - 1).min(i64::from(i32::MAX)) as i32;
-            for sample in &mut samples {
-                *sample = (*sample).clamp(0, max);
-            }
-        }
+        let planes = split_brick_payload(payload, rect.depth)?;
+        let (delta, part) = (self.plane_codec.delta(), format!("brick {index}"));
+        let mut samples = decode_planes(&self.codec, &planes, rect, bit_depth, delta, &part)?;
+        inverse_z(&mut samples, rect.plane.pixel_count(), rect.depth, self.z_scales)?;
+        clamp_near_lossless(&mut samples, bit_depth, self.codec.delta());
         Ok(samples)
-    }
-}
-
-/// Scatters a plane-major brick buffer into the slice-major volume buffer.
-fn scatter_brick(volume: &mut [i32], width: usize, height: usize, rect: BrickRect, brick: &[i32]) {
-    let plane_len = rect.plane.pixel_count();
-    for z in 0..rect.depth {
-        for y in 0..rect.plane.height {
-            let src = z * plane_len + y * rect.plane.width;
-            let dst = ((rect.z + z) * height + rect.plane.y + y) * width + rect.plane.x;
-            volume[dst..dst + rect.plane.width]
-                .copy_from_slice(&brick[src..src + rect.plane.width]);
-        }
-    }
-}
-
-/// Scatters the intersection of a decoded brick (plane-major `samples`, from
-/// [`VolumeCompressor::decode_brick_samples`]) with a requested region into
-/// the region's slice-major buffer (both boxes in volume coordinates;
-/// disjoint boxes are a no-op).
-pub fn scatter_region(region: &mut [i32], want: BrickRect, brick: BrickRect, samples: &[i32]) {
-    let x0 = want.plane.x.max(brick.plane.x);
-    let x1 = want.plane.right().min(brick.plane.right());
-    let y0 = want.plane.y.max(brick.plane.y);
-    let y1 = want.plane.bottom().min(brick.plane.bottom());
-    let z0 = want.z.max(brick.z);
-    let z1 = want.back().min(brick.back());
-    if x0 >= x1 || y0 >= y1 || z0 >= z1 {
-        return;
-    }
-    let plane_len = brick.plane.pixel_count();
-    for z in z0..z1 {
-        for y in y0..y1 {
-            let src = (z - brick.z) * plane_len
-                + (y - brick.plane.y) * brick.plane.width
-                + (x0 - brick.plane.x);
-            let dst = ((z - want.z) * want.plane.height + (y - want.plane.y)) * want.plane.width
-                + (x0 - want.plane.x);
-            region[dst..dst + (x1 - x0)].copy_from_slice(&samples[src..src + (x1 - x0)]);
-        }
-    }
-}
-
-/// One brick-layer slab of a streamed volumetric decode; see
-/// [`VolumeCompressor::decompress_slabs`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VolumeSlab {
-    /// First slice of the volume this slab covers.
-    pub z: usize,
-    /// The decoded slab (full width x height, one brick layer of slices).
-    pub stack: ImageStack,
-}
-
-/// Iterator over the slabs of a compressed volume, yielded front to back.
-pub struct VolumeSlabs<'a> {
-    engine: VolumeCompressor,
-    stream: VolumeStream<'a>,
-    grid: BrickGrid,
-    next_layer: usize,
-}
-
-impl Iterator for VolumeSlabs<'_> {
-    type Item = Result<VolumeSlab, PipelineError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.next_layer >= self.grid.bricks_z() {
-            return None;
-        }
-        let bz = self.next_layer;
-        self.next_layer += 1;
-        let header = *self.stream.header();
-        let per_layer = self.grid.plane().tile_count();
-        let (z, slab_depth) = self.grid.z_extent(bz);
-        let result = (|| {
-            let bricks =
-                self.engine.decode_bricks(&self.stream, &self.grid, bz * per_layer, per_layer)?;
-            let mut slab = vec![0i32; header.width * header.height * slab_depth];
-            for (offset, brick) in bricks.iter().enumerate() {
-                let mut rect = self.grid.rect(bz * per_layer + offset);
-                rect.z = 0; // slab-local coordinates
-                scatter_brick(&mut slab, header.width, header.height, rect, brick);
-            }
-            let stack = ImageStack::from_samples(
-                header.width,
-                header.height,
-                slab_depth,
-                header.bit_depth,
-                slab,
-            )
-            .map_err(CoderError::from)?;
-            Ok(VolumeSlab { z, stack })
-        })();
-        Some(result)
     }
 }
 
@@ -774,6 +566,22 @@ mod tests {
         let empty =
             BrickRect { plane: TileRect { x: 0, y: 0, width: 0, height: 1 }, z: 0, depth: 1 };
         assert!(engine.decompress_region(&bytes, empty).is_err());
+    }
+
+    #[test]
+    fn a_region_covering_the_volume_equals_the_whole_decode() {
+        // 60 bricks: more than one bounded batch at every worker count, so
+        // the region read runs the same batched plan as `decompress_stack`.
+        let volume = synth::ct_volume(70, 50, 11, 12, 18);
+        let whole =
+            BrickRect { plane: TileRect { x: 0, y: 0, width: 70, height: 50 }, z: 0, depth: 11 };
+        for workers in [1, 2, 4] {
+            let engine = VolumeCompressor::new(3, 1, 16, 4, workers).unwrap();
+            let bytes = engine.compress_stack(&volume).unwrap();
+            let stack = engine.decompress_stack(&bytes).unwrap();
+            assert_eq!(engine.decompress_region(&bytes, whole).unwrap(), stack, "{workers}");
+            assert_eq!(stack, volume, "{workers} workers");
+        }
     }
 
     #[test]

@@ -27,17 +27,12 @@ use crate::protocol::{
 use crate::rawvol::{raw_volume_len, read_raw_volume, write_raw_volume};
 use crate::sched::WorkStealing;
 use crate::stats::{Metrics, SchedSnapshot, ServerStats};
-use lwc_coder::bitio::BitReader;
-use lwc_coder::fixedtiled::is_fixed;
-use lwc_coder::tiled::is_tiled;
-use lwc_coder::{
-    is_volume, FixedStream, LosslessCodec, StreamHeader, TiledStream, VolumeHeader, VolumeStream,
-};
+use lwc_coder::{is_volume, LosslessCodec};
 use lwc_image::pgm;
-use lwc_image::{BrickRect, Image, ImageStack, TileGrid, TileRect};
+use lwc_image::{BrickRect, Image, TileRect};
 use lwc_pipeline::{
-    scatter_region, Codec, TiledCompressor, TiledFixedCompressor, VolumeCompressor,
-    DEFAULT_BRICK_DEPTH, DEFAULT_TILE_SIZE,
+    DecodePlan, EncodePlan, StreamEngine, TiledCompressor, VolumeCompressor, DEFAULT_BRICK_DEPTH,
+    DEFAULT_TILE_SIZE,
 };
 use polling::{Event, Poller, NOTIFY_KEY};
 use std::collections::{HashMap, VecDeque};
@@ -860,73 +855,42 @@ fn plan(shared: &Shared, op: Op, payload: &Arc<Vec<u8>>) -> Result<Plan, Failure
         Op::Compress => {
             let image = pgm::read_pgm(payload.as_slice())
                 .map_err(|e| (ErrorCode::BadPayload, format!("invalid PGM payload: {e}")))?;
-            let engine = shared.engine;
-            let grid = engine.grid(image.width(), image.height()).map_err(compress_failed)?;
-            let bit_depth = image.bit_depth();
-            Ok(Plan::new(
-                grid.tile_count(),
-                move |index| engine.encode_tile(&image, &grid, index).map_err(compress_failed),
-                move |mut payloads| {
-                    if grid.is_single() {
-                        // One tile is the legacy stream itself, exactly as
-                        // `TiledCompressor::compress` emits it.
-                        return Ok(payloads.swap_remove(0));
-                    }
-                    engine.assemble_container(&grid, bit_depth, &payloads).map_err(compress_failed)
-                },
-            ))
+            Ok(encode(shared.engine.encode_plan(&image).map_err(compress_failed)?, image))
         }
         Op::CompressVolume => {
             let stack = read_raw_volume(payload)
                 .map_err(|e| (ErrorCode::BadPayload, format!("invalid raw volume payload: {e}")))?;
-            let engine = shared.volume_engine;
-            let grid = engine
-                .grid(stack.width(), stack.height(), stack.depth())
-                .map_err(compress_failed)?;
-            let bit_depth = stack.bit_depth();
-            Ok(Plan::new(
-                grid.brick_count(),
-                move |index| engine.encode_brick(&stack, &grid, index).map_err(compress_failed),
-                move |payloads| {
-                    engine.assemble_container(&grid, bit_depth, &payloads).map_err(compress_failed)
-                },
-            ))
+            Ok(encode(shared.volume_engine.encode_plan(&stack).map_err(compress_failed)?, stack))
         }
         Op::Decompress => {
             refuse_volume(payload, "decompress-volume")?;
-            let stream = sniff_2d(payload).map_err(bad_stream)?;
-            let (width, height) = (stream.grid.image_width(), stream.grid.image_height());
-            let indices = (0..stream.grid.tile_count()).collect();
-            let whole = TileRect { x: 0, y: 0, width, height };
-            plan_2d_decode(shared, stream, payload, 0, whole, indices)
+            decode(shared, payload, 0, DecodePlan::sniff(payload).map_err(bad_stream)?)
         }
         Op::DecompressTile => {
-            let (index, bytes) = split_tile_request(payload)?;
+            let ([index], bytes) = split_words(payload, "a tile index")?;
             refuse_volume(bytes, "decompress-region")?;
-            let stream = sniff_2d(bytes).map_err(bad_stream)?;
-            let tiles = stream.grid.tile_count();
-            let index = index as usize;
+            let mut plan = DecodePlan::sniff(bytes).map_err(bad_stream)?;
+            let tiles = plan.grid().brick_count();
             if index >= tiles {
                 return Err((
                     ErrorCode::TileIndexOutOfRange,
                     format!("tile index {index} out of range: the stream has {tiles} tile(s)"),
                 ));
             }
-            let rect = stream.grid.rect(index);
-            plan_2d_decode(shared, stream, payload, TILE_PREFIX_BYTES, rect, vec![index])
+            plan.select(plan.grid().rect(index)).map_err(bad_stream)?;
+            decode(shared, payload, payload.len() - bytes.len(), plan)
         }
         Op::DecompressVolume => {
             if !is_volume(payload) {
                 return Err(bad_stream("not an LWCV container"));
             }
-            plan_volume_decode(shared, payload, 0, None)
+            decode(shared, payload, 0, DecodePlan::sniff(payload).map_err(bad_stream)?)
         }
         Op::DecompressRegion => {
-            let (rect, bytes) = split_region_request(payload)?;
-            if is_volume(bytes) {
-                return plan_volume_decode(shared, payload, REGION_PREFIX_BYTES, Some(rect));
-            }
-            if rect.z != 0 || rect.depth != 1 {
+            let ([x, y, z, width, height, depth], bytes) =
+                split_words(payload, "a box x, y, z, width, height, depth")?;
+            let rect = BrickRect { plane: TileRect { x, y, width, height }, z, depth };
+            if !is_volume(bytes) && (rect.z != 0 || rect.depth != 1) {
                 return Err((
                     ErrorCode::BadPayload,
                     format!(
@@ -936,23 +900,9 @@ fn plan(shared: &Shared, op: Op, payload: &Arc<Vec<u8>>) -> Result<Plan, Failure
                     ),
                 ));
             }
-            let stream = sniff_2d(bytes).map_err(bad_stream)?;
-            let want = rect.plane;
-            let indices = stream.grid.covering_indices(want).ok_or_else(|| {
-                (
-                    ErrorCode::BadPayload,
-                    format!(
-                        "region out of bounds: {}x{} at ({}, {}) exceeds the {}x{} image",
-                        want.width,
-                        want.height,
-                        want.x,
-                        want.y,
-                        stream.grid.image_width(),
-                        stream.grid.image_height()
-                    ),
-                )
-            })?;
-            plan_2d_decode(shared, stream, payload, REGION_PREFIX_BYTES, want, indices)
+            let mut plan = DecodePlan::sniff(bytes).map_err(bad_stream)?;
+            plan.select(rect).map_err(bad_stream)?;
+            decode(shared, payload, payload.len() - bytes.len(), plan)
         }
         other => Err((ErrorCode::UnknownOp, format!("{other:?} is not a request op"))),
     }
@@ -977,176 +927,66 @@ fn refuse_volume(bytes: &[u8], use_op: &str) -> Result<(), Failure> {
     Ok(())
 }
 
-/// A 2-D stream as its header describes it.
-struct Stream2d {
-    /// The single-threaded engine matching the stream's parameters.
-    engine: Box<dyn Codec>,
-    bit_depth: u32,
-    /// The tile grid; its image size is the stream's geometry.
-    grid: TileGrid,
+/// Serves an engine's encode plan of `source`: its parts, then its
+/// container assembly.
+fn encode<S: Send + Sync + 'static>(plan: EncodePlan<S>, source: S) -> Plan {
+    let plan = Arc::new(plan);
+    let assembly = Arc::clone(&plan);
+    Plan::new(
+        plan.parts(),
+        move |slot| plan.encode_part(&source, slot).map_err(compress_failed),
+        move |payloads| assembly.assemble(payloads).map_err(compress_failed),
+    )
 }
 
-/// The one container sniff behind the 2-D decode ops: `LWCT`, `LWCF`, or a
-/// legacy `LWC1`/`LWCQ` stream as a one-tile grid. Decompression follows the
-/// stream's own parameters (scales, tile shape, filter bank), never the
-/// server's. Every header read rejects empty or truncated buffers with a
-/// typed error, so sniffing never slices out of bounds. The `LWCT` engine's
-/// codec is lossless; near-lossless streams decode correctly anyway because
-/// each tile's stream header carries its quantizer, cross-checked against
-/// the container's delta.
-fn sniff_2d(bytes: &[u8]) -> Result<Stream2d, ServerError> {
-    if is_tiled(bytes) {
-        let stream = TiledStream::parse(bytes)?;
-        let header = stream.header();
-        let codec = LosslessCodec::new(header.scales)?;
-        let engine = TiledCompressor::with_codec(codec, header.tile_width, header.tile_height, 1)?;
-        Ok(Stream2d { engine: Box::new(engine), bit_depth: header.bit_depth, grid: stream.grid()? })
-    } else if is_fixed(bytes) {
-        let stream = FixedStream::parse(bytes)?;
-        let engine = TiledFixedCompressor::for_stream(stream.header(), 1)?;
-        let bit_depth = stream.header().bit_depth;
-        Ok(Stream2d { engine: Box::new(engine), bit_depth, grid: stream.grid()? })
+/// Serves a decode plan of the stream at `offset` in `payload`: its parts,
+/// then its assembly, serialized as a raw volume for `LWCV` streams and as a
+/// PGM otherwise. A response that could not fit one frame under the
+/// payload limit is refused from the plan's box before any decode work, so
+/// a client cannot make the server decode terabytes it could never send
+/// back.
+fn decode(
+    shared: &Shared,
+    payload: &Arc<Vec<u8>>,
+    offset: usize,
+    plan: DecodePlan,
+) -> Result<Plan, Failure> {
+    let volume = matches!(plan.engine(), StreamEngine::Volume(_));
+    let (want, bit_depth) = (plan.want(), plan.bit_depth());
+    let (width, height, depth) = (want.plane.width, want.plane.height, want.depth);
+    let need = if volume {
+        raw_volume_len(width, height, depth, bit_depth)
     } else {
-        let header = StreamHeader::read(&mut BitReader::new(bytes))?;
-        let codec = LosslessCodec::new(header.scales)?;
-        let engine = TiledCompressor::with_codec(codec, header.width, header.height, 1)?;
-        let grid = TileGrid::single(header.width, header.height)?;
-        Ok(Stream2d { engine: Box::new(engine), bit_depth: header.bit_depth, grid })
-    }
-}
-
-/// Plans the decode of rectangle `want` of the 2-D stream at `offset` in
-/// `payload`: one part per covering tile in `indices`, a PGM response.
-fn plan_2d_decode(
-    shared: &Shared,
-    stream: Stream2d,
-    payload: &Arc<Vec<u8>>,
-    offset: usize,
-    want: TileRect,
-    indices: Vec<usize>,
-) -> Result<Plan, Failure> {
-    ensure_response_fits(shared, want.width, want.height, stream.bit_depth)?;
-    let Stream2d { engine, bit_depth, grid } = stream;
-    let slice_box = |plane| BrickRect { plane, z: 0, depth: 1 };
-    let boxes = indices.iter().map(|&index| slice_box(grid.rect(index))).collect();
-    let payload = Arc::clone(payload);
-    Ok(decode_plan(
-        slice_box(want),
-        boxes,
-        move |slot| {
-            let tile = engine.decompress_tile(&payload[offset..], indices[slot]);
-            tile.map(Image::into_samples).map_err(bad_stream)
-        },
-        move |samples| {
-            encode_pgm(
-                &Image::from_samples(want.width, want.height, bit_depth, samples)
-                    .map_err(bad_stream)?,
-            )
-        },
-    ))
-}
-
-/// Plans the decode of box `want` (`None`: the whole volume) of the `LWCV`
-/// stream at `offset` in `payload`: one part per covering brick, a
-/// raw-volume response.
-fn plan_volume_decode(
-    shared: &Shared,
-    payload: &Arc<Vec<u8>>,
-    offset: usize,
-    want: Option<BrickRect>,
-) -> Result<Plan, Failure> {
-    let stream = VolumeStream::parse(&payload[offset..]).map_err(bad_stream)?;
-    let header = *stream.header();
-    let want = want.unwrap_or(BrickRect {
-        plane: TileRect { x: 0, y: 0, width: header.width, height: header.height },
-        z: 0,
-        depth: header.depth,
-    });
-    ensure_volume_response_fits(
-        shared,
-        want.plane.width,
-        want.plane.height,
-        want.depth,
-        header.bit_depth,
-    )?;
-    let engine = volume_engine_for(&header).map_err(bad_stream)?;
-    let grid = stream.grid().map_err(bad_stream)?;
-    let indices = grid.covering_indices(want).ok_or_else(|| {
-        bad_stream(format!(
-            "region ({}, {}, {}) {}x{}x{} does not fit the {}x{}x{} volume",
-            want.plane.x,
-            want.plane.y,
-            want.z,
-            want.plane.width,
-            want.plane.height,
-            want.depth,
-            header.width,
-            header.height,
-            header.depth
-        ))
-    })?;
-    let boxes = indices.iter().map(|&index| grid.rect(index)).collect();
-    let payload = Arc::clone(payload);
-    Ok(decode_plan(
-        want,
-        boxes,
-        move |slot| {
-            let stream = VolumeStream::parse(&payload[offset..]).map_err(bad_stream)?;
-            engine.decode_brick_samples(&stream, &grid, indices[slot]).map_err(bad_stream)
-        },
-        move |samples| {
-            let (width, height, depth) = (want.plane.width, want.plane.height, want.depth);
-            let stack = ImageStack::from_samples(width, height, depth, header.bit_depth, samples)
-                .map_err(bad_stream)?;
-            Ok(write_raw_volume(&stack))
-        },
-    ))
-}
-
-/// A decode plan: part `slot` decodes the samples of `boxes[slot]`, and the
-/// assembly scatters every part into the requested box `want` (a 2-D tile
-/// is a depth-1 box) and serializes the result.
-fn decode_plan(
-    want: BrickRect,
-    boxes: Vec<BrickRect>,
-    decode: impl Fn(usize) -> Result<Vec<i32>, Failure> + Send + Sync + 'static,
-    serialize: impl Fn(Vec<i32>) -> Result<Vec<u8>, Failure> + Send + Sync + 'static,
-) -> Plan {
-    Plan::new(boxes.len(), decode, move |parts| {
-        let mut region = vec![0i32; want.voxel_count()];
-        // Consuming the parts frees each one once it is placed, so the
-        // serialized response never coexists with every decoded part.
-        for (samples, &part) in parts.into_iter().zip(&boxes) {
-            scatter_region(&mut region, want, part, &samples);
-        }
-        serialize(region)
-    })
-}
-
-/// Refuses a decompression whose PGM response could not fit one frame under
-/// the server's payload limit — checked from the header dimensions before
-/// any decode work, so a client can't make the server decode terabytes it
-/// could never send back (and a legitimate-but-huge stream gets a typed
-/// error instead of an unreadable oversized response frame).
-fn ensure_response_fits(
-    shared: &Shared,
-    width: usize,
-    height: usize,
-    bit_depth: u32,
-) -> Result<(), Failure> {
-    let per_sample: u128 = if bit_depth > 8 { 2 } else { 1 };
-    let need = width as u128 * height as u128 * per_sample + 64;
+        width as u128 * height as u128 * if bit_depth > 8 { 2 } else { 1 } + 64
+    };
     if need > shared.config.max_payload_bytes as u128 {
         return Err((
             ErrorCode::FrameTooLarge,
             format!(
-                "a {width}x{height} {bit_depth}-bit image decompresses to ~{need} response \
-                 bytes, beyond the {}-byte frame limit (raise --max-frame-mb or decode locally)",
+                "a {width}x{height}x{depth} {bit_depth}-bit box decompresses to ~{need} response \
+                 bytes, beyond the {}-byte frame limit (raise --max-frame-mb, request a region, \
+                 or decode locally)",
                 shared.config.max_payload_bytes
             ),
         ));
     }
-    Ok(())
+    let (plan, payload) = (Arc::new(plan), Arc::clone(payload));
+    let assembly = Arc::clone(&plan);
+    Ok(Plan::new(
+        plan.parts(),
+        move |slot| plan.decode_part(&payload[offset..], slot).map_err(bad_stream),
+        move |parts| {
+            let mut region = Vec::new();
+            for (slot, samples) in parts.into_iter().enumerate() {
+                assembly.place(&mut region, slot, samples);
+            }
+            if volume {
+                Ok(write_raw_volume(&assembly.stack(region).map_err(bad_stream)?))
+            } else {
+                encode_pgm(&assembly.image(region).map_err(bad_stream)?)
+            }
+        },
+    ))
 }
 
 fn encode_pgm(image: &Image) -> Result<Vec<u8>, Failure> {
@@ -1156,102 +996,31 @@ fn encode_pgm(image: &Image) -> Result<Vec<u8>, Failure> {
     Ok(bytes)
 }
 
-/// Length of the `decompress-tile` prefix: one `u32` big-endian tile index.
-const TILE_PREFIX_BYTES: usize = 4;
-
-/// Length of the `decompress-region` prefix: six `u32` big-endian fields.
-const REGION_PREFIX_BYTES: usize = 24;
-
-fn split_tile_request(payload: &[u8]) -> Result<(u32, &[u8]), Failure> {
-    let index_bytes: [u8; TILE_PREFIX_BYTES] =
-        payload.get(..TILE_PREFIX_BYTES).and_then(|b| b.try_into().ok()).ok_or_else(|| {
-            (
-                ErrorCode::BadPayload,
-                "decompress-tile payload must start with a 4-byte tile index".to_owned(),
-            )
-        })?;
-    Ok((u32::from_be_bytes(index_bytes), &payload[TILE_PREFIX_BYTES..]))
-}
-
-/// Single-threaded volumetric engine with the parameters of a parsed `LWCV`
-/// header — decompression always follows the stream's own parameters, never
-/// the server's configured ones.
-fn volume_engine_for(header: &VolumeHeader) -> Result<VolumeCompressor, ServerError> {
-    let codec = LosslessCodec::new(header.scales)?;
-    Ok(VolumeCompressor::with_codec(
-        codec,
-        header.z_scales,
-        header.tile_width,
-        header.tile_height,
-        header.brick_depth,
-        1,
-    )?)
-}
-
-/// Refuses a volumetric decode whose raw-volume response could not fit one
-/// frame under the server's payload limit — checked from the header
-/// dimensions before any decode work, the 3-D analogue of
-/// [`ensure_response_fits`].
-fn ensure_volume_response_fits(
-    shared: &Shared,
-    width: usize,
-    height: usize,
-    depth: usize,
-    bit_depth: u32,
-) -> Result<(), Failure> {
-    let need = raw_volume_len(width, height, depth, bit_depth);
-    if need > shared.config.max_payload_bytes as u128 {
-        return Err((
-            ErrorCode::FrameTooLarge,
-            format!(
-                "a {width}x{height}x{depth} {bit_depth}-bit volume decompresses to ~{need} \
-                 response bytes, beyond the {}-byte frame limit (raise --max-frame-mb, request \
-                 a region, or decode locally)",
-                shared.config.max_payload_bytes
-            ),
-        ));
+/// Splits a request payload into its prefix of `N` big-endian `u32` words
+/// (`what` names them for the error) and the stream after it.
+fn split_words<'a, const N: usize>(
+    payload: &'a [u8],
+    what: &str,
+) -> Result<([usize; N], &'a [u8]), Failure> {
+    if payload.len() < 4 * N {
+        let message = format!("payload must start with {} bytes: {what}", 4 * N);
+        return Err((ErrorCode::BadPayload, message));
     }
-    Ok(())
-}
-
-/// Splits a `decompress-region` payload into the requested rectangle and the
-/// compressed stream. The 24-byte prefix is six `u32` big-endian fields:
-/// x, y, z, width, height, depth.
-fn split_region_request(payload: &[u8]) -> Result<(BrickRect, &[u8]), Failure> {
-    let prefix: &[u8; REGION_PREFIX_BYTES] =
-        payload.get(..REGION_PREFIX_BYTES).and_then(|b| b.try_into().ok()).ok_or_else(|| {
-            (
-                ErrorCode::BadPayload,
-                "decompress-region payload must start with a 24-byte rectangle \
-                 (six u32 BE: x, y, z, width, height, depth)"
-                    .to_owned(),
-            )
-        })?;
+    let (prefix, stream) = payload.split_at(4 * N);
     let word = |i: usize| {
         u32::from_be_bytes(prefix[4 * i..4 * i + 4].try_into().expect("4 bytes")) as usize
     };
-    let rect = BrickRect {
-        plane: TileRect { x: word(0), y: word(1), width: word(3), height: word(4) },
-        z: word(2),
-        depth: word(5),
-    };
-    if rect.plane.width == 0 || rect.plane.height == 0 || rect.depth == 0 {
-        return Err((
-            ErrorCode::BadPayload,
-            format!(
-                "region dimensions must be nonzero, got {}x{}x{}",
-                rect.plane.width, rect.plane.height, rect.depth
-            ),
-        ));
-    }
-    Ok((rect, &payload[REGION_PREFIX_BYTES..]))
+    Ok((std::array::from_fn(word), stream))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lwc_coder::fixedtiled::is_fixed;
+    use lwc_coder::tiled::is_tiled;
     use lwc_coder::FixedHeader;
     use lwc_image::synth;
+    use lwc_pipeline::TiledFixedCompressor;
 
     fn fixed_stream(image: &Image) -> Vec<u8> {
         // The server crate has no lwc-filters dependency by design; a
@@ -1311,17 +1080,16 @@ mod tests {
         let legacy = LosslessCodec::new(3).unwrap().compress(&image).unwrap();
         let tiled = TiledCompressor::new(3, 32, 1).unwrap().compress(&image).unwrap();
         let fixed = fixed_stream(&synth::ct_phantom(64, 48, 12, 5));
-        let sniffed = sniff_2d(&legacy).unwrap();
-        assert_eq!(sniffed.engine.name(), "tiled");
-        assert_eq!((sniffed.grid.tile_count(), sniffed.grid.image_width()), (1, 70));
-        let sniffed = sniff_2d(&tiled).unwrap();
-        assert_eq!(sniffed.engine.name(), "tiled");
-        assert_eq!((sniffed.grid.tile_count(), sniffed.grid.image_height()), (6, 50));
-        let sniffed = sniff_2d(&fixed).unwrap();
-        assert_eq!(sniffed.engine.name(), "tiled-fixed");
-        assert!(sniffed.engine.capabilities().fixed_point);
-        assert_eq!((sniffed.grid.tile_count(), sniffed.bit_depth), (4, 12));
-        assert!(sniff_2d(&[]).is_err());
-        assert!(sniff_2d(&[0x4C, 0x57]).is_err());
+        let sniffed = DecodePlan::sniff(&legacy).unwrap();
+        assert!(matches!(sniffed.engine(), StreamEngine::Tiled(_)));
+        assert_eq!((sniffed.grid().brick_count(), sniffed.grid().plane().image_width()), (1, 70));
+        let sniffed = DecodePlan::sniff(&tiled).unwrap();
+        assert!(matches!(sniffed.engine(), StreamEngine::Tiled(e) if e.codec().scales() == 3));
+        assert_eq!((sniffed.grid().brick_count(), sniffed.grid().plane().image_height()), (6, 50));
+        let sniffed = DecodePlan::sniff(&fixed).unwrap();
+        assert!(matches!(sniffed.engine(), StreamEngine::Fixed(_)));
+        assert_eq!((sniffed.grid().brick_count(), sniffed.bit_depth()), (4, 12));
+        assert!(DecodePlan::sniff(&[]).is_err());
+        assert!(DecodePlan::sniff(&[0x4C, 0x57]).is_err());
     }
 }

@@ -62,8 +62,8 @@ proptest! {
         prop_assert!(codec.decompress(&forged).is_err());
     }
 
-    /// Dispatch through `dyn Codec` — the interface the server, batch engine
-    /// and reproduction binary use — is byte-identical to concrete calls.
+    /// Dispatch through `dyn Codec` — the interface the batch engine and
+    /// reproduction binary use — is byte-identical to concrete calls.
     #[test]
     fn dyn_codec_dispatch_is_byte_identical(seed in 0u64..10_000, filter_index in 0usize..6) {
         let image = synth::random_image(48, 48, 12, seed);

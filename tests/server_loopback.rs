@@ -508,6 +508,22 @@ fn each_class_of_bad_request_gets_one_error_code_at_every_worker_count() {
     let flat_stream = engine.compress(&flat).unwrap();
     let mut tile_request = tiles.to_be_bytes().to_vec();
     tile_request.extend_from_slice(&lwct);
+    let bank = FilterBank::table1(FilterId::F2);
+    let lwcf = TiledFixedCompressor::new(&bank, 3, 32, 1)
+        .unwrap()
+        .compress(&synth::random_image(64, 64, 12, 5))
+        .unwrap();
+    assert_eq!(&lwcf[..4], b"LWCF");
+    let mut lwcf_tile_request = 4u32.to_be_bytes().to_vec();
+    lwcf_tile_request.extend_from_slice(&lwcf);
+    let mut volume_tile_request = 0u32.to_be_bytes().to_vec();
+    volume_tile_request.extend_from_slice(&volume);
+    // A flat 64x64x8 volume decodes to a 64 KiB raw response, beyond the
+    // 16 KiB frame limit.
+    let flat_volume = VolumeCompressor::with_codec(LosslessCodec::new(3).unwrap(), 2, 32, 32, 8, 1)
+        .unwrap()
+        .compress_stack(&ImageStack::from_samples(64, 64, 8, 12, vec![100; 64 * 64 * 8]).unwrap())
+        .unwrap();
     let cases: Vec<(&str, Op, Vec<u8>, ErrorCode)> = vec![
         (
             "LWCT cut inside its directory",
@@ -549,7 +565,46 @@ fn each_class_of_bad_request_gets_one_error_code_at_every_worker_count() {
             ),
             ErrorCode::BadPayload,
         ),
-        ("LWCV sent to decompress", Op::Decompress, volume, ErrorCode::BadPayload),
+        ("LWCV sent to decompress", Op::Decompress, volume.clone(), ErrorCode::BadPayload),
+        (
+            "LWCF tile index out of range",
+            Op::DecompressTile,
+            lwcf_tile_request,
+            ErrorCode::TileIndexOutOfRange,
+        ),
+        (
+            "LWCF cut inside a tile payload",
+            Op::Decompress,
+            lwcf[..lwcf.len() - 40].to_vec(),
+            ErrorCode::BadPayload,
+        ),
+        (
+            "LWCV cut inside its directory",
+            Op::DecompressVolume,
+            volume[..40].to_vec(),
+            ErrorCode::BadPayload,
+        ),
+        (
+            "out-of-bounds LWCV region",
+            Op::DecompressRegion,
+            region_payload(
+                BrickRect { plane: TileRect { x: 20, y: 0, width: 20, height: 8 }, z: 0, depth: 1 },
+                &volume,
+            ),
+            ErrorCode::BadPayload,
+        ),
+        (
+            "LWCV sent to decompress-tile",
+            Op::DecompressTile,
+            volume_tile_request,
+            ErrorCode::BadPayload,
+        ),
+        (
+            "volume response over the frame limit",
+            Op::DecompressVolume,
+            flat_volume,
+            ErrorCode::FrameTooLarge,
+        ),
         (
             "response over the frame limit",
             Op::Decompress,
